@@ -32,11 +32,8 @@
 
 use super::auth::TokenRegistry;
 use super::persist::fnv64_update;
-use super::poller::{self, Dispatch, LoopConfig, Poller, ServeBackend};
-use super::proto::{
-    self, LineEvent, SessionSpec, TcpServer, TcpServerConfig, TimedLineReader,
-    DEFAULT_POLL_INTERVAL,
-};
+use super::poller::{self, Dispatch, LoopConfig, Poller};
+use super::proto::{self, SessionSpec, TcpServer, TcpServerConfig, DEFAULT_POLL_INTERVAL};
 use super::sweep::{self, SweepGrid, SweepSpec};
 use super::{CpiService, ServiceConfig};
 use crate::fit::FitOptions;
@@ -45,7 +42,7 @@ use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -381,9 +378,6 @@ pub struct RouterConfig {
     pub max_connections: usize,
     /// Timer granularity, as in [`TcpServerConfig::poll_interval`].
     pub poll_interval: Duration,
-    /// Which connection engine fronts clients, as in
-    /// [`TcpServerConfig::backend`].
-    pub backend: ServeBackend,
     /// Ring successors each key's snapshots replicate to (0 disables
     /// replication — and with it, warm failover).
     pub replicas: usize,
@@ -407,7 +401,6 @@ impl Default for RouterConfig {
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 64,
             poll_interval: DEFAULT_POLL_INTERVAL,
-            backend: ServeBackend::default(),
             replicas: 1,
             virtual_nodes: 64,
             probe_interval: Some(Duration::from_secs(1)),
@@ -441,12 +434,6 @@ impl RouterConfig {
     /// Sets the stop/idle polling tick (clamped to at least 1 ms).
     pub fn with_poll_interval(mut self, interval: Duration) -> Self {
         self.poll_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Selects the client-facing connection engine.
-    pub fn with_backend(mut self, backend: ServeBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -1477,9 +1464,9 @@ impl Drop for ClusterRouter {
 ///
 /// # Errors
 ///
-/// Setup failures only (non-blocking mode, thread spawn); per-connection
-/// and per-backend failures are handled in-band and never take the
-/// router down.
+/// Setup failures only (no poller on this platform, non-blocking mode,
+/// thread spawn); per-connection and per-backend failures are handled
+/// in-band and never take the router down.
 pub fn serve_router(
     listener: TcpListener,
     backends: &[(String, SocketAddr)],
@@ -1494,18 +1481,10 @@ pub fn serve_router(
     let stop = Arc::new(AtomicBool::new(false));
     let accept_shared = Arc::clone(&shared);
     let accept_stop = Arc::clone(&stop);
-    // Unsupported platforms fall back to the threaded engine, exactly
-    // as in `proto::serve_tcp`.
-    let poller = match shared.config.backend {
-        ServeBackend::Events => Poller::new().ok(),
-        ServeBackend::Threads => None,
-    };
+    let poller = Poller::new()?;
     let accept = std::thread::Builder::new()
         .name("cpi-router-front".into())
-        .spawn(move || match poller {
-            Some(poller) => router_event_front(poller, &listener, &accept_shared, &accept_stop),
-            None => router_accept_loop(&listener, &accept_shared, &accept_stop),
-        })?;
+        .spawn(move || router_event_front(poller, &listener, &accept_shared, &accept_stop))?;
     let prober = match shared.config.probe_interval {
         Some(period) => {
             let probe_shared = Arc::clone(&shared);
@@ -1553,90 +1532,6 @@ fn router_event_front(
             })
         }
     });
-}
-
-fn router_accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>, stop: &Arc<AtomicBool>) {
-    let live = Arc::new(AtomicUsize::new(0));
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        sessions.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if live.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    // Same rejection bytes as the events engine.
-                    let mut stream = stream;
-                    let _ = stream.write_all(b"err: busy\n");
-                    continue;
-                }
-                live.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                let conn_stop = Arc::clone(stop);
-                let conn_live = Arc::clone(&live);
-                let spawned = std::thread::Builder::new()
-                    .name("cpi-router-conn".into())
-                    .spawn(move || {
-                        let _ = proxy_connection_loop(stream, &conn_shared, &conn_stop);
-                        conn_live.fetch_sub(1, Ordering::SeqCst);
-                    });
-                match spawned {
-                    Ok(handle) => sessions.push(handle),
-                    Err(_) => {
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.poll_interval);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    for handle in sessions {
-        let _ = handle.join();
-    }
-}
-
-/// One proxied client connection: greet, read lines with the same
-/// stop/idle polling as a node front, dispatch each through the proxy.
-fn proxy_connection_loop(
-    stream: TcpStream,
-    shared: &RouterShared,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(shared.config.poll_interval))?;
-    let mut reader = TimedLineReader::new(stream.try_clone()?);
-    let mut output = std::io::BufWriter::new(stream);
-    writeln!(output, "{}", shared.config.banner)?;
-    output.flush()?;
-    let mut session = ProxySession::new(shared);
-    loop {
-        match reader.next_line(stop, shared.config.idle_timeout) {
-            LineEvent::Line(line) => {
-                let outcome = session.handle_line(&line, &mut output)?;
-                output.flush()?;
-                match outcome {
-                    ProxyOutcome::Continue => {}
-                    ProxyOutcome::Quit => return Ok(()),
-                    ProxyOutcome::Shutdown => {
-                        stop.store(true, Ordering::SeqCst);
-                        return Ok(());
-                    }
-                }
-            }
-            LineEvent::Eof => return Ok(()),
-            LineEvent::Stopped => {
-                writeln!(output, "err: server shutting down")?;
-                return output.flush();
-            }
-            LineEvent::IdleTimeout => {
-                writeln!(output, "err: idle timeout — closing connection")?;
-                return output.flush();
-            }
-            LineEvent::Error(e) => return Err(e),
-        }
-    }
 }
 
 /// Background membership probing: connect to every non-draining member
@@ -1874,18 +1769,17 @@ impl ClusterHarnessBuilder {
             // Nodes share the router's banner (so a one-node cluster is
             // transparent even on direct connects) and never idle-close:
             // the router pools its backend connections across client
-            // think time. Engine and connection cap follow the router's
-            // too — every admitted client may pool one backend
-            // connection per node, so a tighter node cap would refuse
-            // backends for clients the router already accepted.
+            // think time. The connection cap follows the router's too —
+            // every admitted client may pool one backend connection per
+            // node, so a tighter node cap would refuse backends for
+            // clients the router already accepted.
             let server = proto::serve_tcp(
                 listener,
                 spec,
                 TcpServerConfig::new(self.router.banner.clone())
                     .with_idle_timeout(None)
                     .with_poll_interval(self.router.poll_interval)
-                    .with_max_connections(self.router.max_connections)
-                    .with_backend(self.router.backend),
+                    .with_max_connections(self.router.max_connections),
             )?;
             let addr = server.local_addr();
             backends.push((name.clone(), addr));

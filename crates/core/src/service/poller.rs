@@ -1,53 +1,28 @@
 //! Readiness-driven socket serving: a `mio`-style [`Poller`] over
-//! nonblocking sockets, plus the shared event-loop harness both TCP
-//! fronts (the node front in [`proto`](super::proto) and the cluster
-//! router in [`cluster`](super::cluster)) run their connections on.
+//! nonblocking sockets, plus the event-loop harness both TCP fronts (the
+//! node front in [`proto`](super::proto) and the cluster router in
+//! [`cluster`](super::cluster)) run their connections on.
 //!
-//! The previous fronts were thread-per-connection polling loops: every
-//! blocked read woke on a `--poll-interval` tick to check the stop flag
-//! and the idle deadline, so a thousand idle connections cost a thousand
-//! timer wheels and a thousand stacks. Here one thread owns every
-//! connection: sockets are nonblocking, readiness comes from the kernel
-//! (`epoll` on Linux via raw syscalls — the same no-libc idiom as
-//! `pmu::live` — `poll(2)` on other Unixes), partial lines and frame
-//! bytes are buffered per connection, and `--poll-interval` survives
-//! only as the *timer granularity*: the loop sleeps in the kernel until
-//! a socket turns ready or the tick elapses, never spinning.
+//! One thread owns every connection of a front: sockets are nonblocking,
+//! readiness comes from the kernel through `poll(2)` (declared against
+//! the libc std already links), partial lines and frame bytes are
+//! buffered per connection, and `--poll-interval` survives only as the
+//! *timer granularity*: the loop sleeps in the kernel until a socket
+//! turns ready or the tick elapses, never spinning.
 //!
-//! Wire behavior is byte-identical to the threaded fronts (golden
-//! transcripts replay unchanged); the one deliberate difference is the
-//! connection cap, which is now enforced deterministically at accept
-//! time — the over-cap client reads `err: busy` and an immediate close,
-//! with no dependence on when a departed predecessor's thread noticed
-//! its own EOF.
+//! The connection cap is enforced deterministically at accept time — the
+//! over-cap client reads `err: busy` and an immediate close, and a
+//! departed predecessor's slot is free before the next accept runs.
 //!
-//! On platforms without a readiness facility ([`Poller::new`] fails)
-//! the fronts fall back to the retained thread-per-connection loops, so
-//! the crate still builds and serves everywhere it used to.
+//! Off Unix there is no readiness facility: [`Poller::new`] fails with
+//! [`io::ErrorKind::Unsupported`], which the fronts and the load
+//! generator return as a setup error. The crate still compiles there.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------------
-
-/// Which connection engine a TCP front runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeBackend {
-    /// One readiness event loop multiplexing every connection
-    /// (the default). Falls back to [`ServeBackend::Threads`] at
-    /// startup if the platform has no poller.
-    #[default]
-    Events,
-    /// The legacy thread-per-connection polling loops. Retained as the
-    /// measured baseline for `cpistack loadgen` / `BENCH_9.json`
-    /// comparisons and as the portable fallback.
-    Threads,
-}
 
 // ---------------------------------------------------------------------------
 // The Poller
@@ -83,11 +58,10 @@ impl Interest {
     };
 }
 
-/// A level-triggered readiness selector over raw file descriptors:
-/// `epoll` on Linux (x86-64 / aarch64, via raw syscalls — no libc
-/// types), `poll(2)` on other Unixes. Register sockets under a caller
-/// token, then [`Poller::wait`] blocks in the kernel until one turns
-/// ready or the timeout lapses.
+/// A level-triggered readiness selector over raw file descriptors,
+/// backed by `poll(2)`. Register sockets under a caller token, then
+/// [`Poller::wait`] blocks in the kernel until one turns ready or the
+/// timeout lapses.
 #[derive(Debug)]
 pub struct Poller {
     backend: PollerBackend,
@@ -98,10 +72,8 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The platform has no readiness facility (non-Unix, or an exotic
-    /// Linux architecture without the syscall shim) or the kernel
-    /// refused the `epoll` instance. Callers fall back to the threaded
-    /// serving path.
+    /// The platform has no readiness facility (non-Unix):
+    /// [`io::ErrorKind::Unsupported`].
     pub fn new() -> io::Result<Self> {
         Ok(Self {
             backend: PollerBackend::new()?,
@@ -112,16 +84,17 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The kernel rejected the registration (bad descriptor, duplicate).
+    /// `fd` is already registered ([`io::ErrorKind::AlreadyExists`]).
     pub fn add(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.add(fd, token, interest)
     }
 
-    /// Changes the interest set of an already-registered descriptor.
+    /// Changes the token and interest set of an already-registered
+    /// descriptor.
     ///
     /// # Errors
     ///
-    /// The descriptor is not registered.
+    /// The descriptor is not registered ([`io::ErrorKind::NotFound`]).
     pub fn modify(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.modify(fd, token, interest)
     }
@@ -131,7 +104,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The descriptor is not registered.
+    /// The descriptor is not registered ([`io::ErrorKind::NotFound`]).
     pub fn remove(&mut self, fd: RawFdT) -> io::Result<()> {
         self.backend.remove(fd)
     }
@@ -151,231 +124,30 @@ impl Poller {
 /// The raw-descriptor type registrations use (`i32` everywhere Unix).
 pub type RawFdT = i32;
 
-fn timeout_ms(timeout: Duration) -> i32 {
-    // A sub-millisecond tick still sleeps (1 ms) rather than spinning.
-    timeout.as_millis().clamp(1, i32::MAX as u128) as i32
-}
+// --- Unix: poll(2) through the libc std already links ---------------------
 
-// --- Linux: epoll via raw syscalls (no libc dependency) --------------------
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[cfg(unix)]
 mod sys {
-    use super::{timeout_ms, Interest, PollEvent, RawFdT};
+    use super::{Interest, PollEvent, RawFdT};
     use std::io;
     use std::time::Duration;
 
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const EPOLL_CREATE1: u64 = 291;
-        pub const EPOLL_CTL: u64 = 233;
-        pub const EPOLL_PWAIT: u64 = 281;
-        pub const CLOSE: u64 = 3;
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const EPOLL_CREATE1: u64 = 20;
-        pub const EPOLL_CTL: u64 = 21;
-        pub const EPOLL_PWAIT: u64 = 22;
-        pub const CLOSE: u64 = 57;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(n: u64, a: u64, b: u64, c: u64, d: u64, e: u64, f: u64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") n as i64 => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(n: u64, a: u64, b: u64, c: u64, d: u64, e: u64, f: u64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            options(nostack)
-        );
-        ret
-    }
-
-    fn check(ret: i64) -> io::Result<i64> {
-        if ret < 0 {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret)
-        }
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-
-    const EPOLL_CTL_ADD: u64 = 1;
-    const EPOLL_CTL_DEL: u64 = 2;
-    const EPOLL_CTL_MOD: u64 = 3;
-
-    const EPOLL_CLOEXEC: u64 = 0o2000000;
-
-    /// The kernel's `struct epoll_event`: packed on x86-64 only, per
-    /// the ABI.
+    /// The C `struct pollfd`.
     #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = 0;
-        if interest.read {
-            bits |= EPOLLIN;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
     #[derive(Debug)]
-    pub(super) struct PollerBackend {
-        epfd: i32,
-    }
-
-    impl PollerBackend {
-        pub(super) fn new() -> io::Result<Self> {
-            let epfd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
-            Ok(Self { epfd: epfd as i32 })
-        }
-
-        fn ctl(&mut self, op: u64, fd: RawFdT, event: Option<EpollEvent>) -> io::Result<()> {
-            let ptr = event
-                .as_ref()
-                .map_or(0u64, |e| e as *const EpollEvent as u64);
-            check(unsafe { syscall6(nr::EPOLL_CTL, self.epfd as u64, op, fd as u64, ptr, 0, 0) })?;
-            Ok(())
-        }
-
-        pub(super) fn add(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
-            let event = EpollEvent {
-                events: interest_bits(interest),
-                data: token,
-            };
-            self.ctl(EPOLL_CTL_ADD, fd, Some(event))
-        }
-
-        pub(super) fn modify(
-            &mut self,
-            fd: RawFdT,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            let event = EpollEvent {
-                events: interest_bits(interest),
-                data: token,
-            };
-            self.ctl(EPOLL_CTL_MOD, fd, Some(event))
-        }
-
-        pub(super) fn remove(&mut self, fd: RawFdT) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub(super) fn wait(
-            &mut self,
-            events: &mut Vec<PollEvent>,
-            timeout: Duration,
-        ) -> io::Result<()> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
-            let n = loop {
-                let ret = unsafe {
-                    syscall6(
-                        nr::EPOLL_PWAIT,
-                        self.epfd as u64,
-                        buf.as_mut_ptr() as u64,
-                        buf.len() as u64,
-                        timeout_ms(timeout) as u64,
-                        0, // sigmask: NULL — don't mask anything
-                        0, // sigsetsize: unread when sigmask is NULL
-                    )
-                };
-                match check(ret) {
-                    Ok(n) => break n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            };
-            for ev in buf.iter().take(n) {
-                // Copy out of the (possibly packed) struct before use.
-                let (bits, token) = (ev.events, ev.data);
-                events.push(PollEvent {
-                    token,
-                    // Error/hangup conditions surface through a read
-                    // (0 bytes / ECONNRESET), so fold them in.
-                    readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for PollerBackend {
-        fn drop(&mut self) {
-            unsafe {
-                syscall6(nr::CLOSE, self.epfd as u64, 0, 0, 0, 0, 0);
-            }
-        }
-    }
-}
-
-// --- Other Unixes: poll(2) through the libc std already links -------------
-
-#[cfg(all(
-    unix,
-    not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-))]
-mod sys {
-    use super::{timeout_ms, Interest, PollEvent, RawFdT};
-    use std::io;
-    use std::time::Duration;
-
-    #[repr(C)]
     struct PollFd {
-        fd: i32,
+        fd: RawFdT,
         events: i16,
         revents: i16,
     }
 
-    #[cfg(target_os = "linux")]
-    type Nfds = u64;
-    #[cfg(not(target_os = "linux"))]
-    type Nfds = u32;
+    /// The C `nfds_t`: `unsigned long` in glibc, musl and illumos (32
+    /// bits on 32-bit targets), `unsigned int` on the BSDs, macOS and
+    /// Android.
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    type Nfds = std::ffi::c_uint;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
@@ -386,25 +158,53 @@ mod sys {
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
+    fn event_bits(interest: Interest) -> i16 {
+        (if interest.read { POLLIN } else { 0 }) | (if interest.write { POLLOUT } else { 0 })
+    }
+
+    fn not_registered() -> io::Error {
+        io::Error::new(io::ErrorKind::NotFound, "fd not registered")
+    }
+
+    /// A sub-millisecond tick still sleeps (1 ms) rather than spinning.
+    fn timeout_ms(timeout: Duration) -> i32 {
+        timeout.as_millis().clamp(1, i32::MAX as u128) as i32
+    }
+
     #[derive(Debug)]
     pub(super) struct PollerBackend {
-        // (fd, token, interest) in registration order.
-        slots: Vec<(RawFdT, u64, Interest)>,
+        /// The array `poll(2)` reads as is, in registration order
+        /// (removal swaps the last entry in).
+        fds: Vec<PollFd>,
+        /// `tokens[i]` is the token `fds[i]` is registered under.
+        tokens: Vec<u64>,
     }
 
     impl PollerBackend {
         pub(super) fn new() -> io::Result<Self> {
-            Ok(Self { slots: Vec::new() })
+            Ok(Self {
+                fds: Vec::new(),
+                tokens: Vec::new(),
+            })
+        }
+
+        fn position(&self, fd: RawFdT) -> Option<usize> {
+            self.fds.iter().position(|p| p.fd == fd)
         }
 
         pub(super) fn add(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
-            if self.slots.iter().any(|(f, _, _)| *f == fd) {
+            if self.position(fd).is_some() {
                 return Err(io::Error::new(
                     io::ErrorKind::AlreadyExists,
                     "fd already registered",
                 ));
             }
-            self.slots.push((fd, token, interest));
+            self.fds.push(PollFd {
+                fd,
+                events: event_bits(interest),
+                revents: 0,
+            });
+            self.tokens.push(token);
             Ok(())
         }
 
@@ -414,22 +214,16 @@ mod sys {
             token: u64,
             interest: Interest,
         ) -> io::Result<()> {
-            let slot = self
-                .slots
-                .iter_mut()
-                .find(|(f, _, _)| *f == fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            *slot = (fd, token, interest);
+            let at = self.position(fd).ok_or_else(not_registered)?;
+            self.fds[at].events = event_bits(interest);
+            self.tokens[at] = token;
             Ok(())
         }
 
         pub(super) fn remove(&mut self, fd: RawFdT) -> io::Result<()> {
-            let at = self
-                .slots
-                .iter()
-                .position(|(f, _, _)| *f == fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            self.slots.swap_remove(at);
+            let at = self.position(fd).ok_or_else(not_registered)?;
+            self.fds.swap_remove(at);
+            self.tokens.swap_remove(at);
             Ok(())
         }
 
@@ -438,18 +232,16 @@ mod sys {
             events: &mut Vec<PollEvent>,
             timeout: Duration,
         ) -> io::Result<()> {
-            let mut fds: Vec<PollFd> = self
-                .slots
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: if interest.read { POLLIN } else { 0 }
-                        | if interest.write { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
             let n = loop {
-                let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms(timeout)) };
+                // SAFETY: `fds` is a live, exclusively borrowed array of
+                // `repr(C)` pollfds and `nfds` is its exact length.
+                let ret = unsafe {
+                    poll(
+                        self.fds.as_mut_ptr(),
+                        self.fds.len() as Nfds,
+                        timeout_ms(timeout),
+                    )
+                };
                 if ret >= 0 {
                     break ret;
                 }
@@ -459,11 +251,13 @@ mod sys {
                 }
             };
             if n > 0 {
-                for (pfd, (_, token, _)) in fds.iter().zip(&self.slots) {
+                for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
                     let bits = pfd.revents;
                     if bits != 0 {
                         events.push(PollEvent {
-                            token: *token,
+                            token,
+                            // Error/hangup conditions surface through a
+                            // read (0 bytes / ECONNRESET), so fold them in.
                             readable: bits & (POLLIN | POLLERR | POLLHUP) != 0,
                             writable: bits & (POLLOUT | POLLERR | POLLHUP) != 0,
                         });
@@ -475,7 +269,7 @@ mod sys {
     }
 }
 
-// --- Anywhere else: no poller; fronts fall back to threads ----------------
+// --- Anywhere else: no poller, so no TCP serving ---------------------------
 
 #[cfg(not(unix))]
 mod sys {
@@ -587,8 +381,8 @@ struct Conn<H> {
     /// Stop reading; close once `out` drains.
     closing: bool,
     /// Last moment this connection either delivered bytes or finished a
-    /// command — the idle clock, mirroring `TimedLineReader` (dispatch
-    /// time is never billed as idleness).
+    /// command — the idle clock (dispatch time is never billed as
+    /// idleness).
     last_activity: Instant,
     /// The interest set currently registered with the poller.
     registered: Interest,
@@ -638,8 +432,8 @@ pub(crate) fn run_event_loop<H, F>(
     loop {
         let stopping = stop.load(Ordering::SeqCst);
         if stopping && !announced {
-            // Mirror the threaded front: buffered complete lines still
-            // run, then every surviving session hears why it's closing.
+            // Buffered complete lines still run, then every surviving
+            // session hears why it's closing.
             announced = true;
             drain_deadline = Some(Instant::now() + DRAIN_GRACE);
             if listening {
@@ -670,8 +464,7 @@ pub(crate) fn run_event_loop<H, F>(
         if poller.wait(&mut events, config.tick).is_err() {
             break;
         }
-        let fired: Vec<PollEvent> = std::mem::take(&mut events);
-        for ev in fired {
+        for &ev in &events {
             if ev.token == LISTENER {
                 if !stopping {
                     accept_burst(
@@ -810,8 +603,7 @@ fn read_burst<H>(conn: &mut Conn<H>) -> bool {
 
 /// Dispatches every complete buffered line (and, at EOF, the trailing
 /// unterminated line — matching `BufRead::lines` on the stdio front).
-/// Pipelined input after `quit`/`shutdown` is discarded, as in the
-/// threaded front.
+/// Pipelined input after `quit`/`shutdown` is discarded.
 fn drain_lines<H>(conn: &mut Conn<H>, stop: &AtomicBool)
 where
     H: FnMut(&str, &mut Vec<u8>) -> io::Result<Dispatch>,
@@ -837,9 +629,8 @@ where
                 stop.store(true, Ordering::SeqCst);
                 conn.closing = true;
             }
-            // The handler only fails on client-socket errors in the
-            // threaded fronts; here output is buffered, so an Err is a
-            // codec-internal failure — close the session.
+            // Output is buffered, so an Err is a codec-internal
+            // failure rather than a socket error — close the session.
             Err(_) => conn.closing = true,
         }
         // Command execution is never billed as idleness.
@@ -890,5 +681,110 @@ fn close_conn<H>(poller: &mut Poller, conns: &mut HashMap<u64, Conn<H>>, token: 
         let _ = poller.remove(raw_fd(&conn.stream));
         // Dropping the stream closes the socket; pooled backend
         // connections a handler owns drop with it.
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+
+    const WAIT: Duration = Duration::from_secs(2);
+
+    /// A connected loopback pair: (our end, the peer).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        (ours, peer)
+    }
+
+    /// Waits until `token` fires (or the budget runs out) and returns its
+    /// event.
+    fn wait_for(poller: &mut Poller, token: u64) -> Option<PollEvent> {
+        let deadline = Instant::now() + WAIT;
+        let mut events = Vec::new();
+        while Instant::now() < deadline {
+            poller.wait(&mut events, Duration::from_millis(50)).unwrap();
+            if let Some(ev) = events.iter().find(|e| e.token == token) {
+                return Some(*ev);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn duplicate_add_is_already_exists() {
+        let (ours, _peer) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&ours), 1, Interest::READ).unwrap();
+        let err = poller.add(raw_fd(&ours), 2, Interest::READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+    }
+
+    #[test]
+    fn unregistered_fd_is_not_found() {
+        let (ours, _peer) = pair();
+        let mut poller = Poller::new().unwrap();
+        let err = poller.modify(raw_fd(&ours), 1, Interest::READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let err = poller.remove(raw_fd(&ours)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn loopback_readiness_follows_the_peer() {
+        let (mut ours, mut peer) = pair();
+        let mut poller = Poller::new().unwrap();
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        poller.add(raw_fd(&ours), 7, both).unwrap();
+        let ev = wait_for(&mut poller, 7).expect("a fresh socket is writable");
+        assert!(ev.writable && !ev.readable, "{ev:?}");
+
+        // `modify` moves the descriptor to a new token, too.
+        poller.modify(raw_fd(&ours), 8, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Duration::from_millis(20)).unwrap();
+        assert!(events.is_empty(), "nothing to read yet: {events:?}");
+
+        peer.write_all(b"ping\n").unwrap();
+        let ev = wait_for(&mut poller, 8).expect("readable after the peer writes");
+        assert!(ev.readable && !ev.writable, "{ev:?}");
+        let mut buf = [0u8; 16];
+        assert_eq!(ours.read(&mut buf).unwrap(), 5);
+
+        drop(peer);
+        let ev = wait_for(&mut poller, 8).expect("readable after the peer closes");
+        assert!(ev.readable, "{ev:?}");
+        assert_eq!(ours.read(&mut buf).unwrap(), 0, "the hangup reads as EOF");
+
+        // Both directions shut: the hangup wakes a write-only
+        // registration as readable, so the owner reads and sees the EOF.
+        ours.shutdown(std::net::Shutdown::Write).unwrap();
+        let write_only = Interest {
+            read: false,
+            write: true,
+        };
+        poller.modify(raw_fd(&ours), 8, write_only).unwrap();
+        let ev = wait_for(&mut poller, 8).expect("a hung-up socket fires");
+        assert!(ev.readable, "hangup folds into readable: {ev:?}");
+    }
+
+    #[test]
+    fn remove_then_readd_works() {
+        let (ours, mut peer) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&ours), 1, Interest::READ).unwrap();
+        poller.remove(raw_fd(&ours)).unwrap();
+        peer.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Duration::from_millis(20)).unwrap();
+        assert!(events.is_empty(), "a removed fd never fires: {events:?}");
+
+        poller.add(raw_fd(&ours), 2, Interest::READ).unwrap();
+        let ev = wait_for(&mut poller, 2).expect("re-added fd fires under its new token");
+        assert!(ev.readable, "{ev:?}");
     }
 }

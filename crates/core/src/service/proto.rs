@@ -69,7 +69,7 @@
 
 use super::auth::TokenRegistry;
 use super::persist::fnv64;
-use super::poller::{self, Dispatch, LoopConfig, Poller, ServeBackend};
+use super::poller::{self, Dispatch, LoopConfig, Poller};
 use super::sweep::{SweepGrid, SweepSpec};
 use super::{
     CpiClient, ModelKey, RefitMode, Request, Response, ServiceConfig, ServiceError, TenantId,
@@ -80,11 +80,11 @@ use crate::stack::CpiStack;
 use crate::workbench::MachineSpec;
 use pmu::{MachineId, RunRecord, Suite};
 use std::io::{BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Text reprinted by the in-session `help` command.
 pub const SERVE_HELP: &str = "\
@@ -1117,21 +1117,14 @@ pub struct TcpServerConfig {
     /// (`None` = never).
     pub idle_timeout: Option<Duration>,
     /// Connections beyond this are refused with an immediate in-band
-    /// `err: busy` and a close. On the default [`ServeBackend::Events`]
-    /// engine the check is deterministic: a closed predecessor frees
-    /// its slot before the next accept is processed.
+    /// `err: busy` and a close. The check is deterministic: a closed
+    /// predecessor frees its slot before the next accept is processed.
     pub max_connections: usize,
-    /// Timer granularity. On [`ServeBackend::Events`] this bounds how
-    /// stale idle-deadline and stop-flag checks can be (the loop itself
-    /// sleeps in the kernel, waking early for socket readiness); on
-    /// [`ServeBackend::Threads`] it is the legacy stop/idle polling
-    /// tick. Tests drop it to ~2 ms so shutdown and idle paths resolve
-    /// quickly.
+    /// Timer granularity: bounds how stale idle-deadline and stop-flag
+    /// checks can be (the loop itself sleeps in the kernel, waking early
+    /// for socket readiness). Tests drop it to ~2 ms so shutdown and
+    /// idle paths resolve quickly.
     pub poll_interval: Duration,
-    /// Which connection engine runs the front (readiness event loop by
-    /// default; the retained thread-per-connection loops are the
-    /// measured baseline and the portable fallback).
-    pub backend: ServeBackend,
 }
 
 impl Default for TcpServerConfig {
@@ -1141,7 +1134,6 @@ impl Default for TcpServerConfig {
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 64,
             poll_interval: DEFAULT_POLL_INTERVAL,
-            backend: ServeBackend::default(),
         }
     }
 }
@@ -1171,12 +1163,6 @@ impl TcpServerConfig {
     /// zero tick would turn every blocked read into a busy loop).
     pub fn with_poll_interval(mut self, interval: Duration) -> Self {
         self.poll_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Selects the connection engine.
-    pub fn with_backend(mut self, backend: ServeBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -1236,17 +1222,15 @@ impl Drop for TcpServer {
 /// as the stdio front. The service itself is *not* owned here — the
 /// caller keeps it, and shuts it down after [`TcpServer::wait`] returns.
 ///
-/// With the default [`ServeBackend::Events`] engine one readiness
-/// event loop multiplexes every connection (see
-/// [`poller`](super::poller)); [`ServeBackend::Threads`] runs the
-/// legacy thread-per-connection polling loops. Both serve byte-identical
-/// transcripts.
+/// One readiness event loop multiplexes every connection (see
+/// [`poller`]).
 ///
 /// # Errors
 ///
-/// Setup failures only (the listener cannot be made non-blocking or the
-/// serving thread cannot spawn); per-connection errors close that
-/// connection and never take the server down.
+/// Setup failures only (the platform has no poller — `Unsupported` off
+/// Unix — the listener cannot be made non-blocking, or the serving
+/// thread cannot spawn); per-connection errors close that connection
+/// and never take the server down.
 pub fn serve_tcp(
     listener: TcpListener,
     spec: SessionSpec,
@@ -1259,18 +1243,11 @@ pub fn serve_tcp(
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     // The poller opens here (not in the thread) so an unsupported
-    // platform falls back to the threaded engine instead of a dead
-    // server.
-    let poller = match config.backend {
-        ServeBackend::Events => Poller::new().ok(),
-        ServeBackend::Threads => None,
-    };
+    // platform is a setup error instead of a dead server.
+    let poller = Poller::new()?;
     let accept = std::thread::Builder::new()
         .name("cpi-tcp-front".into())
-        .spawn(move || match poller {
-            Some(poller) => event_front(poller, &listener, &spec, &config, &accept_stop),
-            None => accept_loop(&listener, &spec, &config, &accept_stop),
-        })?;
+        .spawn(move || event_front(poller, &listener, &spec, &config, &accept_stop))?;
     Ok(TcpServer {
         local_addr,
         stop,
@@ -1305,188 +1282,6 @@ fn event_front(
             })
         }
     });
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    spec: &SessionSpec,
-    config: &TcpServerConfig,
-    stop: &Arc<AtomicBool>,
-) {
-    let live = Arc::new(AtomicUsize::new(0));
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        connections.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if live.load(Ordering::SeqCst) >= config.max_connections {
-                    // Same rejection bytes as the events engine. Unlike
-                    // there, the freed-slot timing here depends on when a
-                    // departed connection's thread noticed its own EOF.
-                    let mut stream = stream;
-                    let _ = stream.write_all(b"err: busy\n");
-                    continue;
-                }
-                live.fetch_add(1, Ordering::SeqCst);
-                let mut session = spec.session();
-                let banner = config.banner.clone();
-                let idle = config.idle_timeout;
-                let poll = config.poll_interval;
-                let stop = Arc::clone(stop);
-                let conn_live = Arc::clone(&live);
-                let spawned = std::thread::Builder::new()
-                    .name("cpi-tcp-conn".into())
-                    .spawn(move || {
-                        let _ = connection_loop(stream, &mut session, &banner, idle, poll, &stop);
-                        conn_live.fetch_sub(1, Ordering::SeqCst);
-                    });
-                match spawned {
-                    Ok(handle) => connections.push(handle),
-                    Err(_) => {
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll_interval);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            // A broken listener cannot serve anyone: stop the front so
-            // `wait()` returns instead of spinning.
-            Err(_) => break,
-        }
-    }
-    // Connections poll the same stop flag; give each a bounded join.
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// One connection's lifetime: greet, read lines (with stop/idle polling),
-/// run each through the shared codec, close on `quit`/EOF/timeout — and
-/// flip the server-wide stop flag on `shutdown`.
-fn connection_loop(
-    stream: TcpStream,
-    session: &mut Session,
-    banner: &str,
-    idle: Option<Duration>,
-    poll: Duration,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(poll))?;
-    let mut reader = TimedLineReader::new(stream.try_clone()?);
-    let mut output = std::io::BufWriter::new(stream);
-    writeln!(output, "{banner}")?;
-    output.flush()?;
-    loop {
-        match reader.next_line(stop, idle) {
-            LineEvent::Line(line) => {
-                let outcome = execute_line(session, &line, &mut output)?;
-                output.flush()?;
-                match outcome {
-                    LineOutcome::Continue => {}
-                    LineOutcome::Quit => return Ok(()),
-                    LineOutcome::Shutdown => {
-                        stop.store(true, Ordering::SeqCst);
-                        return Ok(());
-                    }
-                }
-            }
-            LineEvent::Eof => return Ok(()),
-            LineEvent::Stopped => {
-                // Another session shut the server down while this one sat
-                // idle; say goodbye in-band so scripted clients see why.
-                writeln!(output, "err: server shutting down")?;
-                return output.flush();
-            }
-            LineEvent::IdleTimeout => {
-                writeln!(output, "err: idle timeout — closing connection")?;
-                return output.flush();
-            }
-            LineEvent::Error(e) => return Err(e),
-        }
-    }
-}
-
-pub(crate) enum LineEvent {
-    Line(String),
-    Eof,
-    Stopped,
-    IdleTimeout,
-    Error(std::io::Error),
-}
-
-/// Line reader over a read-timeout socket: accumulates bytes, yields one
-/// line at a time, and between reads polls the server stop flag and the
-/// connection's idle deadline. A read timeout never loses buffered bytes
-/// (the pitfall of `BufRead::read_line` on a non-blocking stream).
-pub(crate) struct TimedLineReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    eof: bool,
-    last_activity: Instant,
-}
-
-impl TimedLineReader {
-    pub(crate) fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-            eof: false,
-            last_activity: Instant::now(),
-        }
-    }
-
-    pub(crate) fn next_line(&mut self, stop: &AtomicBool, idle: Option<Duration>) -> LineEvent {
-        // The idle clock measures time spent *waiting for the next
-        // command* — it restarts here so a slow fit executed between
-        // calls is never billed to the client as idleness.
-        self.last_activity = Instant::now();
-        loop {
-            if let Some(pos) = self.buf.iter().position(|b| *b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
-            }
-            if self.eof {
-                // A final line without a newline still counts, like
-                // `BufRead::lines` on the stdio front.
-                if self.buf.is_empty() {
-                    return LineEvent::Eof;
-                }
-                let line = String::from_utf8_lossy(&self.buf).into_owned();
-                self.buf.clear();
-                return LineEvent::Line(line);
-            }
-            if stop.load(Ordering::SeqCst) {
-                return LineEvent::Stopped;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => self.eof = true,
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    self.last_activity = Instant::now();
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if let Some(limit) = idle {
-                        if self.last_activity.elapsed() >= limit {
-                            return LineEvent::IdleTimeout;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return LineEvent::Error(e),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,6 @@ use crate::model::{FitOptions, MicroarchParams};
 use crate::service::auth::{self, AuthError, TokenRegistry};
 use crate::service::cluster::{ClusterHarness, RouterConfig};
 use crate::service::persist::PersistError;
-use crate::service::poller::ServeBackend;
 use crate::service::{proto, stream, CpiService, ServiceConfig, ServiceError};
 use crate::{CsvSource, PipelineError, SimSource, Workbench};
 use std::fmt;
@@ -146,6 +145,7 @@ cpistack — mechanistic-empirical CPI stacks from performance counters
 USAGE:
   cpistack fit   --counters <csv> --width <D> --depth <c_fe> --l2 <c_L2> --mem <c_mem> --tlb <c_TLB>
   cpistack stack --counters <csv> --width <D> --depth <c_fe> --l2 <c_L2> --mem <c_mem> --tlb <c_TLB>
+                 [--csv]
   cpistack demo  [--out <csv>]
   cpistack sweep [--base <machine>] [--suite <s>] [--rob v,v] [--mshr v,v]
                  [--dw v,v] [--pf v,v] [--uops <N>] [--seed <N>]
@@ -154,7 +154,6 @@ USAGE:
   cpistack serve [--workers <N>] [--cache <N>] [--quick] [--fit-threads <N>]
                  [--listen <addr>] [--state-dir <dir>] [--auth <token-file>]
                  [--idle-timeout <secs>] [--max-conns <N>] [--poll-interval <ms>]
-                 [--engine <events|threads>]
   cpistack cluster --state-dir <dir> [--nodes <N>] [--replicas <N>]
                  [--listen <addr>] [--workers <N>] [--cache <N>] [--quick]
                  [--auth <token-file>] [--idle-timeout <secs>] [--max-conns <N>]
@@ -198,10 +197,8 @@ SUBCOMMANDS:
          --auth <token-file> makes the server multi-tenant: every
          session must open with `hello <token>`, and each tenant gets
          its own machine namespace, cache quota and state subdirectory;
-         --poll-interval tunes the stop/idle polling tick in milliseconds;
-         --engine picks the TCP accept/dispatch engine: `events` (the
-         default readiness loop) or `threads` (one thread per connection,
-         the pre-event-loop behaviour — useful for A/B load tests)
+         --poll-interval sets the TCP readiness loop's timer tick in
+         milliseconds (how promptly idle deadlines and shutdown are seen)
   cluster
          start a multi-node serving tier in one process: N backend serve
          nodes plus a router that speaks the identical client protocol,
@@ -232,8 +229,8 @@ SUBCOMMANDS:
          equal objective-evaluation counts) and warm serve, then write a
          machine-readable snapshot (default BENCH_10.json), including a
          cluster section (router-hop overhead vs direct warm serve) and a
-         connection-scaling section (readiness-loop front vs the legacy
-         thread-per-connection engine under loadgen traffic). --threads
+         connection-scaling section (loadgen p99 of the readiness-loop
+         front and of the router at 4x the base connection count). --threads
          is one budget for the whole bench: the collect pool's worker
          count and each cold fit's multi-start fan-out cap (concurrent
          fits time-share it); --smoke runs reduced budgets for CI;
@@ -433,9 +430,6 @@ pub struct ServeArgs {
     /// Stop/idle polling tick in milliseconds (`None` = the transport
     /// default, ~50 ms).
     pub poll_interval: Option<u64>,
-    /// TCP accept/dispatch engine (`None` = the transport default,
-    /// the readiness event loop).
-    pub engine: Option<ServeBackend>,
 }
 
 /// Arguments for the `cluster` subcommand.
@@ -486,13 +480,21 @@ pub struct FitArgs {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] on unknown subcommands, missing or
-/// malformed flags.
+/// Returns [`CliError::Usage`] on unknown subcommands, flags the
+/// subcommand does not take, missing or malformed flags.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let sub = args
         .first()
         .ok_or_else(|| CliError::Usage("missing subcommand".into()))?;
     let flags = parse_flags(&args[1..])?;
+    let accepted = accepted_flags(sub)
+        .ok_or_else(|| CliError::Usage(format!("unknown subcommand `{sub}`")))?;
+    if let Some((key, _)) = flags
+        .iter()
+        .find(|(k, _)| !accepted.split_whitespace().any(|f| f == k))
+    {
+        return Err(CliError::Usage(format!("unknown flag --{key} for {sub}")));
+    }
     let get = |name: &str| -> Result<&str, CliError> {
         flags
             .iter()
@@ -557,7 +559,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             fit_threads: flag_count(&flags, "fit-threads")?,
             auth: flag_text(&flags, "auth"),
             poll_interval: flag_count(&flags, "poll-interval")?,
-            engine: flag_engine(&flags)?,
         })),
         "cluster" => Ok(Command::Cluster(ClusterArgs {
             state_dir: get("state-dir")?.to_owned(),
@@ -614,24 +615,42 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// The flags each subcommand takes, space-separated (`None`: no such
+/// subcommand). A flag outside its list is a usage error, never
+/// silently ignored.
+fn accepted_flags(sub: &str) -> Option<&'static str> {
+    Some(match sub {
+        "fit" => "counters width depth l2 mem tlb",
+        "stack" => "counters width depth l2 mem tlb csv",
+        "demo" => "out",
+        "sweep" => {
+            "base suite rob mshr dw pf uops seed benchmarks component quick state-dir workers"
+        }
+        "serve" => {
+            "workers cache quick listen state-dir idle-timeout max-conns fit-threads auth \
+             poll-interval"
+        }
+        "cluster" => {
+            "state-dir nodes replicas listen workers cache quick auth idle-timeout max-conns \
+             poll-interval probe-interval"
+        }
+        "token" => "auth-file tenant",
+        "watch" => {
+            "replay machine suite batch rounds interval-ms jitter record quick uops seed \
+             benchmarks"
+        }
+        "bench" => "smoke out uops seed threads check",
+        "loadgen" => "connect conns rate duration-ms mix machine suite hello budget-ms",
+        _ => return None,
+    })
+}
+
 /// An optional `--name <value>` flag's text.
 fn flag_text(flags: &[(String, String)], name: &str) -> Option<String> {
     flags
         .iter()
         .find(|(k, _)| k == name)
         .map(|(_, v)| v.clone())
-}
-
-/// The optional `--engine <events|threads>` flag as a [`ServeBackend`].
-fn flag_engine(flags: &[(String, String)]) -> Result<Option<ServeBackend>, CliError> {
-    match flag_text(flags, "engine").as_deref() {
-        None => Ok(None),
-        Some("events") => Ok(Some(ServeBackend::Events)),
-        Some("threads") => Ok(Some(ServeBackend::Threads)),
-        Some(other) => Err(CliError::Usage(format!(
-            "--engine must be `events` or `threads`, got `{other}`"
-        ))),
-    }
 }
 
 /// An optional `--name <value>` flag parsed as an unsigned count.
@@ -1208,9 +1227,6 @@ pub fn serve(
         if let Some(ms) = args.poll_interval {
             tcp = tcp.with_poll_interval(std::time::Duration::from_millis(ms));
         }
-        if let Some(engine) = args.engine {
-            tcp = tcp.with_backend(engine);
-        }
         let listener = std::net::TcpListener::bind(addr.as_str())?;
         let server = proto::serve_tcp(listener, spec, tcp)?;
         writeln!(output, "listening {}", server.local_addr())?;
@@ -1464,25 +1480,51 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_engine_flag() {
-        let cmd = parse_args(&strings(&["serve", "--engine", "threads"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs {
-                engine: Some(ServeBackend::Threads),
-                ..ServeArgs::default()
-            })
-        );
-        let cmd = parse_args(&strings(&["serve", "--engine", "events"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs {
-                engine: Some(ServeBackend::Events),
-                ..ServeArgs::default()
-            })
-        );
-        let err = parse_args(&strings(&["serve", "--engine", "fibers"])).unwrap_err();
-        assert!(err.to_string().contains("--engine must be"));
+    fn rejects_flags_the_subcommand_does_not_take() {
+        for (argv, flag) in [
+            (&["serve", "--engine", "threads"][..], "--engine"),
+            (&["serve", "--workres", "4"][..], "--workres"),
+            (&["sweep", "--mshrs", "8,16"][..], "--mshrs"),
+            (&["fit", "--csv"][..], "--csv"),
+        ] {
+            let err = parse_args(&strings(argv)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{argv:?}");
+            let expected = format!("unknown flag {flag} for {}", argv[0]);
+            assert!(err.to_string().contains(&expected), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_in_usage_parses() {
+        // Each `cpistack <sub> …` block of USAGE (with its continuation
+        // lines), every listed flag given the value `1`.
+        let synopsis = USAGE
+            .split_once("USAGE:")
+            .and_then(|(_, rest)| rest.split_once("SUBCOMMANDS:"))
+            .map(|(block, _)| block)
+            .unwrap();
+        let mut blocks: Vec<Vec<String>> = Vec::new();
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("cpistack ") {
+                blocks.push(vec![rest.split_whitespace().next().unwrap().to_owned()]);
+            }
+            let Some(argv) = blocks.last_mut() else {
+                continue;
+            };
+            for token in line.split(|c: char| c.is_whitespace() || c == '[' || c == ']') {
+                if token.starts_with("--") {
+                    argv.push(token.to_owned());
+                    argv.push("1".to_owned());
+                }
+            }
+        }
+        assert_eq!(blocks.len(), 10, "one block per subcommand");
+        for argv in &blocks {
+            assert!(argv.len() > 1, "every subcommand lists flags: {argv:?}");
+            if let Err(e) = parse_args(argv) {
+                panic!("{argv:?} must parse: {e}");
+            }
+        }
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //! quarter-length warm-up ([`SimSource::warmup`]), and the µops that
 //! saves per workload is reported alongside.
 //!
-//! Since the readiness-loop fronts (PR 8), a **connection-scaling**
-//! section drives the [`loadgen`](crate::loadgen) harness at three
-//! targets over the same warm model: the legacy thread-per-connection
-//! engine at the baseline connection count, the readiness event loop at
-//! 4× that count, and the cluster router (readiness engine) at 4× — each
-//! an open-loop campaign asserting zero in-band errors and zero dropped
-//! connections, with the p99 latencies recorded. That turns the event
-//! loop's connection-ceiling claim into a tracked number.
+//! A **connection-scaling** section drives the [`loadgen`] harness at
+//! two targets over the same warm model: the readiness-loop node front
+//! and the cluster router, each at 4× the baseline connection count
+//! (`conns`) with the aggregate offered load held at the baseline's.
+//! Every campaign is open-loop, asserts zero in-band errors and zero
+//! dropped connections, and records its p99 latency, so the event loop's
+//! connection ceiling stays a tracked number.
 //!
 //! Since the work-stealing collect pool (PR 9), the cold-collect section
 //! times the parallel campaign **and** a strictly-sequential reference,
@@ -64,7 +63,6 @@ use crate::loadgen::{self, LoadgenConfig};
 use crate::model::workbench::{SimSource, Workbench};
 use crate::model::FitOptions;
 use crate::service::cluster::{ClusterHarness, RouterConfig};
-use crate::service::poller::ServeBackend;
 use crate::service::proto::{self, SessionSpec, TcpServerConfig};
 use crate::service::sweep::{SweepGrid, SweepSpec};
 use crate::service::{stream, CpiService, ModelKey, RefitMode, Response, ServiceConfig};
@@ -93,9 +91,9 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Warm-serve repetitions per model key.
     pub warm_iters: usize,
-    /// Connection-scaling baseline: the thread-per-connection engine is
-    /// measured at this many concurrent connections, the readiness
-    /// engine and the router at 4× as many.
+    /// Connection-scaling baseline: the readiness-loop front and the
+    /// router are measured at 4× this many concurrent connections, at
+    /// this many connections' aggregate offered load.
     pub conns: usize,
 }
 
@@ -218,13 +216,8 @@ pub struct BenchReport {
     /// Open-loop request rate per connection in the scaling sections,
     /// requests/second.
     pub loadgen_rate: f64,
-    /// Connections sustained by the legacy thread-per-connection engine
-    /// (zero errors, zero drops).
-    pub serve_threads_conns: usize,
-    /// p99 latency at that load on the threaded engine, ms.
-    pub serve_threads_p99_ms: f64,
-    /// Connections sustained by the readiness event loop — 4× the
-    /// threaded baseline by construction.
+    /// Connections sustained by the readiness event loop (zero errors,
+    /// zero drops) — 4× the `conns` baseline by construction.
     pub serve_events_conns: usize,
     /// p99 latency at that load on the readiness engine, ms.
     pub serve_events_p99_ms: f64,
@@ -244,7 +237,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": 6,");
+        let _ = writeln!(s, "  \"schema\": 7,");
         let _ = writeln!(s, "  \"mode\": \"{}\",", self.mode);
         let _ = writeln!(s, "  \"config\": {{");
         let _ = writeln!(s, "    \"uops\": {},", self.config.uops);
@@ -305,16 +298,6 @@ impl BenchReport {
         let _ = writeln!(s, "  \"sweep_cold_rate\": {:.2},", self.sweep_cold_rate);
         let _ = writeln!(s, "  \"sweep_warm_rate\": {:.1},", self.sweep_warm_rate);
         let _ = writeln!(s, "  \"loadgen_rate\": {:.1},", self.loadgen_rate);
-        let _ = writeln!(
-            s,
-            "  \"serve_threads_conns\": {},",
-            self.serve_threads_conns
-        );
-        let _ = writeln!(
-            s,
-            "  \"serve_threads_p99_ms\": {:.3},",
-            self.serve_threads_p99_ms
-        );
         let _ = writeln!(s, "  \"serve_events_conns\": {},", self.serve_events_conns);
         let _ = writeln!(
             s,
@@ -351,9 +334,8 @@ impl BenchReport {
              warm-up        quarter-length streaming warm-up saves {} µops/workload\n\
              sweep          {:>10.1} ms cold / {:.1} ms warm re-sweep over {} variants → \
              {:.2} / {:.0} variants/s (warm pass simulates and refits nothing)\n\
-             connections    threads {} conns p99 {:.3} ms | events {} conns p99 {:.3} ms \
-             ({:.0} req/s aggregate open-loop) | router {} conns p99 {:.3} ms (half aggregate; \
-             zero errors/drops throughout)\n",
+             connections    events {} conns p99 {:.3} ms ({:.0} req/s aggregate open-loop) \
+             | router {} conns p99 {:.3} ms (half aggregate; zero errors/drops throughout)\n",
             self.mode,
             self.benchmarks,
             self.machines,
@@ -383,11 +365,9 @@ impl BenchReport {
             self.sweep_variants,
             self.sweep_cold_rate,
             self.sweep_warm_rate,
-            self.serve_threads_conns,
-            self.serve_threads_p99_ms,
             self.serve_events_conns,
             self.serve_events_p99_ms,
-            self.loadgen_rate * self.serve_threads_conns as f64,
+            self.loadgen_rate * self.config.conns as f64,
             self.router_events_conns,
             self.router_events_p99_ms,
         )
@@ -576,10 +556,9 @@ fn scaling_loadgen(
 }
 
 /// The direct-serve half of the connection-scaling section: one warm
-/// service fronted twice — by the legacy thread-per-connection engine at
-/// the baseline connection count and by the readiness event loop at 4×.
-/// Returns `(threads p99 ms, events p99 ms)`.
-fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64) {
+/// service behind the readiness-loop front, driven at 4× the baseline
+/// connection count. Returns the p99 in ms.
+fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> f64 {
     let machine = MachineConfig::core2();
     let core2: Vec<RunRecord> = records
         .iter()
@@ -598,44 +577,27 @@ fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64) {
             options.clone(),
         ))
         .expect("warm fit");
-    let spec = SessionSpec::open(client, options);
-    let load = ScalingLoad::of(config);
-    let front = |backend: ServeBackend, cap: usize| {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind bench front");
-        proto::serve_tcp(
-            listener,
-            spec.clone(),
-            TcpServerConfig::new("cpistack bench")
-                .with_idle_timeout(None)
-                .with_poll_interval(Duration::from_millis(2))
-                .with_max_connections(cap)
-                .with_backend(backend),
-        )
-        .expect("bench front starts")
-    };
-
-    let threads_front = front(ServeBackend::Threads, config.conns + 8);
-    let threads_p99 = scaling_loadgen(
-        threads_front.local_addr(),
-        config.conns,
-        1,
-        &load,
-        "threaded engine",
-    );
-    threads_front.shutdown();
-
-    let events_conns = config.conns * 4;
-    let events_front = front(ServeBackend::Events, events_conns + 8);
-    let events_p99 = scaling_loadgen(
-        events_front.local_addr(),
-        events_conns,
+    let conns = config.conns * 4;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind bench front");
+    let front = proto::serve_tcp(
+        listener,
+        SessionSpec::open(client, options),
+        TcpServerConfig::new("cpistack bench")
+            .with_idle_timeout(None)
+            .with_poll_interval(Duration::from_millis(2))
+            .with_max_connections(conns + 8),
+    )
+    .expect("bench front starts");
+    let p99 = scaling_loadgen(
+        front.local_addr(),
+        conns,
         4,
-        &load,
+        &ScalingLoad::of(config),
         "readiness engine",
     );
-    events_front.shutdown();
+    front.shutdown();
     service.shutdown();
-    (threads_p99, events_p99)
+    p99
 }
 
 /// The cluster section of the bench: boots a 3-node tier, fits Core 2 /
@@ -696,7 +658,7 @@ fn cluster_warm_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64,
     let direct_ms = timed_warm_stacks(&mut direct, config.warm_iters);
     let router_ms = timed_warm_stacks(&mut router, config.warm_iters);
 
-    // Router scaling: the same warm traffic at 4× the threaded
+    // Router scaling: the same warm traffic at 4× the `conns`
     // baseline's connection count through the router, at HALF the
     // direct sections' aggregate rate (scale 8, not 4). One readiness
     // loop proxies both directions of every request here while the
@@ -993,8 +955,8 @@ pub fn run_bench(config: BenchConfig) -> BenchReport {
     let (cluster_warm_direct_ms, cluster_warm_router_ms, router_events_p99_ms) =
         cluster_warm_bench(&config, &records);
 
-    // --- Connection scaling: threaded engine vs readiness loop. --------
-    let (serve_threads_p99_ms, serve_events_p99_ms) = connection_bench(&config, &records);
+    // --- Connection scaling: the readiness-loop front at 4× conns. -----
+    let serve_events_p99_ms = connection_bench(&config, &records);
     let scaling_load = ScalingLoad::of(&config);
 
     // --- Streaming: incremental vs full refit on a jittered stream. ----
@@ -1038,8 +1000,6 @@ pub fn run_bench(config: BenchConfig) -> BenchReport {
         sweep_cold_rate: sweep.variants as f64 / (sweep.cold_ms / 1e3).max(1e-9),
         sweep_warm_rate: sweep.variants as f64 / (sweep.warm_ms / 1e3).max(1e-9),
         loadgen_rate: scaling_load.rate,
-        serve_threads_conns: config.conns,
-        serve_threads_p99_ms,
         serve_events_conns: config.conns * 4,
         serve_events_p99_ms,
         router_events_conns: config.conns * 4,
@@ -1200,8 +1160,8 @@ mod tests {
             seed: 7,
             threads: 0,
             warm_iters: 1,
-            // Keeps the scaling sections cheap in unit tests: threads at
-            // 2 connections, events and router at 8.
+            // Keeps the scaling sections cheap in unit tests: events and
+            // router at 8 connections.
             conns: 2,
         }
     }
@@ -1230,12 +1190,10 @@ mod tests {
         );
         assert_eq!(report.warmup_saved_uops, 750, "1000 µops - 250 warm-up");
         // Connection scaling: the readiness engine and the router carried
-        // 4× the threaded baseline with zero errors/drops (asserted
-        // inside the sections) and real latency numbers.
-        assert_eq!(report.serve_threads_conns, 2);
+        // 4× the `conns` baseline with zero errors/drops (asserted inside
+        // the sections) and real latency numbers.
         assert_eq!(report.serve_events_conns, 8);
         assert_eq!(report.router_events_conns, 8);
-        assert!(report.serve_threads_p99_ms > 0.0);
         assert!(report.serve_events_p99_ms > 0.0);
         assert!(report.router_events_p99_ms > 0.0);
         // The collect reference leg ran and the speedup is a real ratio
@@ -1256,7 +1214,11 @@ mod tests {
         assert!(report.sweep_cold_rate > 0.0);
         assert!(report.sweep_warm_rate > 0.0);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": 6"));
+        assert!(json.contains("\"schema\": 7"));
+        assert!(
+            !json.contains("serve_threads"),
+            "schema 7 dropped the thread engine"
+        );
         assert!(json.contains("\"cold_collect_seq_ms\""));
         assert!(json.contains("\"collect_speedup\""));
         assert!(json.contains(&format!("\"fit_evals\": {}", report.fit_evals)));
@@ -1345,8 +1307,6 @@ mod tests {
             sweep_cold_rate: 80.0,
             sweep_warm_rate: 8000.0,
             loadgen_rate: 20.0,
-            serve_threads_conns: 2,
-            serve_threads_p99_ms: 1.0,
             serve_events_conns: 8,
             serve_events_p99_ms: 1.0,
             router_events_conns: 8,

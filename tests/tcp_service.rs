@@ -3,11 +3,10 @@
 //! sequential in-process `Workbench::fit()` run under a fixed seed —
 //! the PR 2 in-process concurrency guarantee, now over a socket. Also
 //! covers the binary stack framing, the idle timeout (including one
-//! firing mid-partial-line), the deterministic `--max-conns` rejection
-//! on both connection engines, and graceful shutdown.
+//! firing mid-partial-line), the deterministic `--max-conns` rejection,
+//! and graceful shutdown.
 
 use cpistack::model::{FitOptions, MicroarchParams};
-use cpistack::service::poller::ServeBackend;
 use cpistack::service::proto::{
     self, decode_stack_frame, read_frame, TcpServerConfig, FRAME_KIND_STACKS,
 };
@@ -208,106 +207,96 @@ fn binary_framing_round_trips_over_the_socket() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The connection cap is deterministic on both engines: with
-/// `max_connections = 2` and two admitted sessions held open, the third
-/// connection reads exactly `err: busy\n` — no banner — and an
-/// immediate EOF. Closing an admitted session frees its slot.
+/// The connection cap is deterministic: with `max_connections = 2` and
+/// two admitted sessions held open, the third connection reads exactly
+/// `err: busy\n` — no banner — and an immediate EOF. Closing an admitted
+/// session frees its slot.
 #[test]
 fn over_cap_connections_read_busy_and_are_closed_immediately() {
-    for backend in [ServeBackend::Events, ServeBackend::Threads] {
-        let config = ServiceConfig::new().with_workers(1);
-        let service = CpiService::start(config.clone());
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = proto::serve_tcp(
-            listener,
-            proto::SessionSpec::open(service.client(), FitOptions::quick()),
-            TcpServerConfig::new(proto::banner(&config, true))
-                .with_poll_interval(Duration::from_millis(2))
-                .with_max_connections(2)
-                .with_backend(backend),
-        )
-        .expect("tcp front starts");
-        let addr = server.local_addr();
-        let banner = format!("{}\n", proto::banner(&config, true));
+    let config = ServiceConfig::new().with_workers(1);
+    let service = CpiService::start(config.clone());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = proto::serve_tcp(
+        listener,
+        proto::SessionSpec::open(service.client(), FitOptions::quick()),
+        TcpServerConfig::new(proto::banner(&config, true))
+            .with_poll_interval(Duration::from_millis(2))
+            .with_max_connections(2),
+    )
+    .expect("tcp front starts");
+    let addr = server.local_addr();
+    let banner = format!("{}\n", proto::banner(&config, true));
 
-        // Admit two sessions and hold them open; reading each banner
-        // proves the server has registered the connection, so the cap
-        // is fully occupied before the third connect.
-        let mut held: Vec<TcpStream> = (0..2)
-            .map(|i| {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut buf = vec![0u8; banner.len()];
-                stream.read_exact(&mut buf).expect("banner");
-                assert_eq!(buf, banner.as_bytes(), "connection {i} ({backend:?})");
-                stream
-            })
-            .collect();
+    // Admit two sessions and hold them open; reading each banner proves
+    // the server has registered the connection, so the cap is fully
+    // occupied before the third connect.
+    let mut held: Vec<TcpStream> = (0..2)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut buf = vec![0u8; banner.len()];
+            stream.read_exact(&mut buf).expect("banner");
+            assert_eq!(buf, banner.as_bytes(), "connection {i}");
+            stream
+        })
+        .collect();
 
-        // The third connection is rejected in-band and closed at once.
-        let mut over = TcpStream::connect(addr).expect("connect over cap");
-        let mut rejection = Vec::new();
-        over.read_to_end(&mut rejection).expect("read rejection");
-        assert_eq!(
-            rejection, b"err: busy\n",
-            "over-cap rejection must be exactly `err: busy` then EOF ({backend:?})"
-        );
+    // The third connection is rejected in-band and closed at once.
+    let mut over = TcpStream::connect(addr).expect("connect over cap");
+    let mut rejection = Vec::new();
+    over.read_to_end(&mut rejection).expect("read rejection");
+    assert_eq!(
+        rejection, b"err: busy\n",
+        "over-cap rejection must be exactly `err: busy` then EOF"
+    );
 
-        // Quitting an admitted session frees its slot for a newcomer.
-        let mut first = held.remove(0);
-        first.write_all(b"quit\n").expect("quit");
-        let mut drained = Vec::new();
-        first.read_to_end(&mut drained).expect("drain to EOF");
-        let mut fresh = TcpStream::connect(addr).expect("connect after slot freed");
-        let mut buf = vec![0u8; banner.len()];
-        fresh.read_exact(&mut buf).expect("banner after slot freed");
-        assert_eq!(buf, banner.as_bytes(), "{backend:?}");
+    // Quitting an admitted session frees its slot for a newcomer.
+    let mut first = held.remove(0);
+    first.write_all(b"quit\n").expect("quit");
+    let mut drained = Vec::new();
+    first.read_to_end(&mut drained).expect("drain to EOF");
+    let mut fresh = TcpStream::connect(addr).expect("connect after slot freed");
+    let mut buf = vec![0u8; banner.len()];
+    fresh.read_exact(&mut buf).expect("banner after slot freed");
+    assert_eq!(buf, banner.as_bytes());
 
-        server.shutdown();
-        service.shutdown();
-        drop(held);
-    }
+    server.shutdown();
+    service.shutdown();
+    drop(held);
 }
 
 /// The idle timer fires even when the client has sent part of a line:
 /// a dangling `sta` (no newline) must never execute, and the server
-/// still hangs up in-band after the deadline on both engines.
+/// still hangs up in-band after the deadline.
 #[test]
 fn idle_timeout_fires_mid_partial_line_without_executing_it() {
-    for backend in [ServeBackend::Events, ServeBackend::Threads] {
-        let config = ServiceConfig::new().with_workers(1);
-        let service = CpiService::start(config.clone());
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = proto::serve_tcp(
-            listener,
-            proto::SessionSpec::open(service.client(), FitOptions::quick()),
-            TcpServerConfig::new(proto::banner(&config, true))
-                .with_idle_timeout(Some(Duration::from_millis(250)))
-                .with_poll_interval(Duration::from_millis(2))
-                .with_backend(backend),
-        )
-        .expect("tcp front starts");
+    let config = ServiceConfig::new().with_workers(1);
+    let service = CpiService::start(config.clone());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = proto::serve_tcp(
+        listener,
+        proto::SessionSpec::open(service.client(), FitOptions::quick()),
+        TcpServerConfig::new(proto::banner(&config, true))
+            .with_idle_timeout(Some(Duration::from_millis(250)))
+            .with_poll_interval(Duration::from_millis(2)),
+    )
+    .expect("tcp front starts");
 
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        // Half a `stats` command, never completed with a newline.
-        stream.write_all(b"sta").expect("partial line");
-        let mut text = String::new();
-        stream.read_to_string(&mut text).expect("read until close");
-        assert!(
-            text.ends_with("err: idle timeout — closing connection\n"),
-            "partial line must still hit the idle deadline ({backend:?}): {text}"
-        );
-        // The fragment never executed: no response line besides the
-        // banner and the timeout notice.
-        assert_eq!(
-            text.lines().count(),
-            2,
-            "banner + timeout only ({backend:?}): {text}"
-        );
-        assert!(!text.contains("ok"), "{text}");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // Half a `stats` command, never completed with a newline.
+    stream.write_all(b"sta").expect("partial line");
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("read until close");
+    assert!(
+        text.ends_with("err: idle timeout — closing connection\n"),
+        "partial line must still hit the idle deadline: {text}"
+    );
+    // The fragment never executed: no response line besides the banner
+    // and the timeout notice.
+    assert_eq!(text.lines().count(), 2, "banner + timeout only: {text}");
+    assert!(!text.contains("ok"), "{text}");
 
-        server.shutdown();
-        service.shutdown();
-    }
+    server.shutdown();
+    service.shutdown();
 }
 
 #[test]
