@@ -28,9 +28,9 @@
 //!   pipeline builder,
 //! * [`service`] — the long-lived serving layer: [`CpiService`] batches
 //!   requests from many concurrent clients over a sharded worker pool,
-//!   memoizing fitted models in an LRU [`service::ModelCache`];
-//!   [`Workbench::fit`](workbench::Collected::fit) itself runs on top of
-//!   it, so there is one fitting code path. Its [`service::proto`]
+//!   memoizing fitted models in an LRU [`service::ModelCache`] around
+//!   the same fit [`Workbench::fit`](workbench::Collected::fit) calls
+//!   directly. Its [`service::proto`]
 //!   submodule is the serve-session protocol codec (stdio *and* TCP
 //!   fronts, binary framing for bulk stacks) and [`service::persist`] is
 //!   the durable model store that lets a restarted service warm up

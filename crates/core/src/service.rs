@@ -8,9 +8,9 @@
 //! [`ModelCache`] — and any number of concurrent [`CpiClient`]s submit
 //! typed [`Request`]s against it:
 //!
-//! * **ingest** new counter batches ([`Request::IngestRecords`],
-//!   [`Request::IngestCsv`]) — appended to the machine's record store,
-//!   bumping its *generation* so stale cached models are invalidated,
+//! * **ingest** new counter batches ([`Request::IngestRecords`]) —
+//!   appended to the machine's record store, bumping its *generation* so
+//!   stale cached models are invalidated,
 //! * **fit-and-stack** for a `(machine, suite, options)` [`ModelKey`]
 //!   ([`Request::Fit`], [`Request::Stacks`], [`Request::Group`]) — the
 //!   first request fits by nonlinear regression, every repeat is a cache
@@ -29,9 +29,9 @@
 //! arrives one benchmark at a time, never buffered whole.
 //!
 //! Fitting is deterministic, so service output is byte-identical to a
-//! sequential [`Workbench`](crate::workbench::Workbench) run — and in
-//! fact `Workbench::fit()` is implemented *on top of* an ephemeral
-//! `CpiService`, so there is exactly one fitting code path.
+//! sequential [`Workbench`](crate::workbench::Workbench) run: both end in
+//! the same [`InferredModel`] fit, which `Workbench::fit()` calls
+//! directly and the service wraps in its cache and snapshot store.
 //!
 //! # Multi-tenant isolation
 //!
@@ -394,21 +394,14 @@ pub enum Request {
     /// router splits the batch per machine). Bumps each touched machine's
     /// generation.
     IngestRecords(Vec<RunRecord>),
-    /// Parse counters-CSV text and ingest it. `origin` names the source
-    /// (a path, or `"<memory>"`) for error messages.
-    IngestCsv {
-        /// CSV text in `pmu::csv` format.
-        text: String,
-        /// Where the text came from.
-        origin: String,
-    },
     /// Fit (or fetch from cache) one model; responds with one
     /// [`Response::Model`].
     Fit(ModelKey),
     /// Fit, then stream one [`Response::Stack`] per training benchmark.
     Stacks(ModelKey),
     /// Fit, then respond with the whole [`FittedGroup`] (model + training
-    /// records) in one [`Response::Group`] — the `Workbench` path.
+    /// records) in one [`Response::Group`] — the service form of one
+    /// `Workbench` group.
     Group(ModelKey),
     /// Fit, then stream one [`Response::Prediction`] per benchmark.
     Predictions(ModelKey),
@@ -575,7 +568,7 @@ pub enum Response {
         /// The model-estimated stack.
         stack: crate::stack::CpiStack,
     },
-    /// A whole fitted group (the `Workbench` path).
+    /// A whole fitted group, as `Workbench::fit` yields one.
     Group(Box<FittedGroup>),
     /// One benchmark's measured-vs-predicted CPI.
     Prediction {
@@ -628,20 +621,33 @@ impl Iterator for ResponseStream {
 }
 
 impl ResponseStream {
-    /// Drains the stream, returning every response — or the first error.
-    ///
-    /// # Errors
-    ///
-    /// The first [`Response::Error`] in the stream.
-    pub fn finish(self) -> Result<Vec<Response>, ServiceError> {
-        let mut out = Vec::new();
+    /// Waits for the first response `pick` accepts. A
+    /// [`Response::Error`] ends the wait with that error; a stream that
+    /// closes unanswered means the service stopped.
+    fn answer<T>(self, mut pick: impl FnMut(Response) -> Option<T>) -> Result<T, ServiceError> {
         for response in self {
             match response {
                 Response::Error(e) => return Err(e),
-                other => out.push(other),
+                other => {
+                    if let Some(value) = pick(other) {
+                        return Ok(value);
+                    }
+                }
             }
         }
-        Ok(out)
+        Err(ServiceError::Stopped)
+    }
+
+    /// Hands every response to `each` until the stream closes; the first
+    /// [`Response::Error`] ends the drain with that error.
+    fn drain(self, mut each: impl FnMut(Response)) -> Result<(), ServiceError> {
+        for response in self {
+            match response {
+                Response::Error(e) => return Err(e),
+                other => each(other),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1551,6 +1557,19 @@ impl fmt::Debug for CpiClient {
     }
 }
 
+/// The `(records, generation)` ack of a store mutation, for
+/// [`ResponseStream::answer`].
+fn ingested(response: Response) -> Option<(usize, u64)> {
+    match response {
+        Response::Ingested {
+            records,
+            generation,
+            ..
+        } => Some((records, generation)),
+        _ => None,
+    }
+}
+
 impl CpiClient {
     /// The tenant every request from this handle is scoped to.
     pub fn tenant(&self) -> &TenantId {
@@ -1567,6 +1586,32 @@ impl CpiClient {
         }
     }
 
+    /// [`ServiceError::Stopped`] once the service has shut down — the
+    /// check every answer given inline, without a worker, starts with.
+    fn running(&self) -> Result<(), ServiceError> {
+        if self
+            .router
+            .stopped
+            .load(std::sync::atomic::Ordering::SeqCst)
+        {
+            return Err(ServiceError::Stopped);
+        }
+        Ok(())
+    }
+
+    /// Fits every key on its home shard, submitting all before awaiting
+    /// any, so the regressions run in parallel across the pool; the first
+    /// failure in `keys` order is the error.
+    fn warm(&self, keys: impl IntoIterator<Item = ModelKey>) -> Result<(), ServiceError> {
+        let streams: Vec<ResponseStream> = keys
+            .into_iter()
+            .map(|key| self.submit(Request::Fit(key)))
+            .collect();
+        streams
+            .into_iter()
+            .try_for_each(|stream| stream.drain(|_| {}))
+    }
+
     /// Submits one request; responses stream back on the returned channel.
     ///
     /// Ordering: store mutations for one machine (register, ingest) are
@@ -1581,12 +1626,8 @@ impl CpiClient {
             // Stats is a cheap monitoring read of the shared state —
             // answering it here keeps it from queueing behind a
             // multi-second regression on some worker.
-            if self
-                .router
-                .stopped
-                .load(std::sync::atomic::Ordering::SeqCst)
-            {
-                let _ = tx.send(Response::Error(ServiceError::Stopped));
+            if let Err(e) = self.running() {
+                let _ = tx.send(Response::Error(e));
                 return stream;
             }
             let mut guard = lock(&self.router.inner);
@@ -1596,14 +1637,7 @@ impl CpiClient {
             let _ = tx.send(Response::Stats(stats));
             return stream;
         }
-        let tasks: Vec<(usize, Task)> = match self.route(request) {
-            Ok(tasks) => tasks,
-            Err(e) => {
-                let _ = tx.send(Response::Error(e));
-                return stream;
-            }
-        };
-        self.dispatch(tasks, &tx);
+        self.dispatch(self.route(request), &tx);
         stream
     }
 
@@ -1626,9 +1660,8 @@ impl CpiClient {
     /// size), bypassing hash placement. Pinning forfeits same-key
     /// serialization — two concurrent requests for one key pinned to
     /// different shards can fit twice — so use it only for one-shot
-    /// fan-out over *distinct* keys (as `Workbench::fit` and the bench
-    /// `Campaign` do, round-robin, so no worker sits idle on a hash
-    /// collision).
+    /// fan-out over *distinct* keys (as the bench `Campaign` does,
+    /// round-robin, so no worker sits idle on a hash collision).
     pub fn submit_group_at(&self, shard: usize, key: ModelKey) -> ResponseStream {
         let (tx, rx) = mpsc::channel();
         let stream = ResponseStream { rx };
@@ -1637,12 +1670,11 @@ impl CpiClient {
         stream
     }
 
-    /// Splits a request into per-shard tasks. CSV parsing happens here, on
-    /// the client's thread, so a malformed batch never occupies a worker.
-    fn route(&self, request: Request) -> Result<Vec<(usize, Task)>, ServiceError> {
+    /// Splits a request into per-shard tasks.
+    fn route(&self, request: Request) -> Vec<(usize, Task)> {
         let r = &self.router;
         let t = &self.tenant;
-        Ok(match request {
+        match request {
             Request::Register(spec) => vec![(r.shard_of(t, spec.id()), Task::Register(spec))],
             Request::IngestRecords(records) => {
                 // Stable per-machine partition: each chunk routes to its
@@ -1661,11 +1693,6 @@ impl CpiClient {
                         (r.shard_of(t, machine), Task::Ingest { machine, records })
                     })
                     .collect()
-            }
-            Request::IngestCsv { text, origin } => {
-                let records = pmu::csv::from_csv(&text)
-                    .map_err(|error| ServiceError::Parse { origin, error })?;
-                return self.route(Request::IngestRecords(records));
             }
             Request::StreamBatch {
                 machine,
@@ -1719,7 +1746,7 @@ impl CpiClient {
             )],
             // Answered inline by `submit` before routing.
             Request::Stats => Vec::new(),
-        })
+        }
     }
 
     /// Registers (or replaces) a machine spec and waits for the ack.
@@ -1728,14 +1755,11 @@ impl CpiClient {
     ///
     /// [`ServiceError::Stopped`] when the service is gone.
     pub fn register(&self, spec: MachineSpec) -> Result<MachineId, ServiceError> {
-        for response in self.submit(Request::Register(Box::new(spec))) {
-            match response {
-                Response::Registered { machine } => return Ok(machine),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        let request = Request::Register(Box::new(spec));
+        self.submit(request).answer(|response| match response {
+            Response::Registered { machine } => Some(machine),
+            _ => None,
+        })
     }
 
     /// Ingests a record batch (machines may be mixed) and waits until every
@@ -1746,18 +1770,18 @@ impl CpiClient {
     /// [`ServiceError::Stopped`] when the service is gone.
     pub fn ingest(&self, records: Vec<RunRecord>) -> Result<usize, ServiceError> {
         let mut total = 0;
-        for response in self.submit(Request::IngestRecords(records)) {
-            match response {
-                Response::Ingested { records, .. } => total += records,
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
+        self.submit(Request::IngestRecords(records))
+            .drain(|response| {
+                if let Response::Ingested { records, .. } = response {
+                    total += records;
+                }
+            })?;
         Ok(total)
     }
 
     /// Parses counters-CSV text and ingests it; `origin` names the source
-    /// for error messages.
+    /// for error messages. Parsing runs on the caller's thread, so a
+    /// malformed batch never occupies a worker.
     ///
     /// # Errors
     ///
@@ -1765,18 +1789,11 @@ impl CpiClient {
     /// the text is malformed; [`ServiceError::Stopped`] when the service
     /// is gone.
     pub fn ingest_csv(&self, text: &str, origin: &str) -> Result<usize, ServiceError> {
-        let mut total = 0;
-        for response in self.submit(Request::IngestCsv {
-            text: text.to_owned(),
+        let records = pmu::csv::from_csv(text).map_err(|error| ServiceError::Parse {
             origin: origin.to_owned(),
-        }) {
-            match response {
-                Response::Ingested { records, .. } => total += records,
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Ok(total)
+            error,
+        })?;
+        self.ingest(records)
     }
 
     /// Upserts one live counter batch into `machine`'s store (see
@@ -1791,18 +1808,8 @@ impl CpiClient {
         machine: MachineId,
         records: Vec<RunRecord>,
     ) -> Result<(usize, u64), ServiceError> {
-        for response in self.submit(Request::StreamBatch { machine, records }) {
-            match response {
-                Response::Ingested {
-                    records,
-                    generation,
-                    ..
-                } => return Ok((records, generation)),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        self.submit(Request::StreamBatch { machine, records })
+            .answer(ingested)
     }
 
     /// Serves one model on the streaming path (see [`Request::Refit`]):
@@ -1819,14 +1826,11 @@ impl CpiClient {
         key: ModelKey,
         force_full: bool,
     ) -> Result<(ModelReport, RefitMode), ServiceError> {
-        for response in self.submit(Request::Refit { key, force_full }) {
-            match response {
-                Response::Refit { report, mode } => return Ok((report, mode)),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        let request = Request::Refit { key, force_full };
+        self.submit(request).answer(|response| match response {
+            Response::Refit { report, mode } => Some((report, mode)),
+            _ => None,
+        })
     }
 
     /// Fits (or fetches) one model.
@@ -1835,14 +1839,11 @@ impl CpiClient {
     ///
     /// Any [`ServiceError`] the fit produced.
     pub fn fit(&self, key: ModelKey) -> Result<ModelReport, ServiceError> {
-        for response in self.submit(Request::Fit(key)) {
-            match response {
-                Response::Model(report) => return Ok(report),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        self.submit(Request::Fit(key))
+            .answer(|response| match response {
+                Response::Model(report) => Some(report),
+                _ => None,
+            })
     }
 
     /// Fits (or fetches) one model and collects its streamed CPI stacks.
@@ -1856,14 +1857,12 @@ impl CpiClient {
     ) -> Result<(ModelReport, Vec<(String, crate::stack::CpiStack)>), ServiceError> {
         let mut report = None;
         let mut stacks = Vec::new();
-        for response in self.submit(Request::Stacks(key)) {
-            match response {
+        self.submit(Request::Stacks(key))
+            .drain(|response| match response {
                 Response::Model(r) => report = Some(r),
                 Response::Stack { benchmark, stack } => stacks.push((benchmark, stack)),
-                Response::Error(e) => return Err(e),
                 _ => {}
-            }
-        }
+            })?;
         report.map(|r| (r, stacks)).ok_or(ServiceError::Stopped)
     }
 
@@ -1873,14 +1872,11 @@ impl CpiClient {
     ///
     /// Any [`ServiceError`] the fit produced.
     pub fn group(&self, key: ModelKey) -> Result<FittedGroup, ServiceError> {
-        for response in self.submit(Request::Group(key)) {
-            match response {
-                Response::Group(group) => return Ok(*group),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        self.submit(Request::Group(key))
+            .answer(|response| match response {
+                Response::Group(group) => Some(*group),
+                _ => None,
+            })
     }
 
     /// Fits (or fetches) one model and collects measured-vs-predicted CPI
@@ -1895,18 +1891,16 @@ impl CpiClient {
     ) -> Result<(ModelReport, Vec<PredictionRow>), ServiceError> {
         let mut report = None;
         let mut predictions = Vec::new();
-        for response in self.submit(Request::Predictions(key)) {
-            match response {
-                Response::Model(r) => report = Some(r),
-                Response::Prediction {
-                    benchmark,
-                    measured,
-                    predicted,
-                } => predictions.push((benchmark, measured, predicted)),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
+        let stream = self.submit(Request::Predictions(key));
+        stream.drain(|response| match response {
+            Response::Model(r) => report = Some(r),
+            Response::Prediction {
+                benchmark,
+                measured,
+                predicted,
+            } => predictions.push((benchmark, measured, predicted)),
+            _ => {}
+        })?;
         report
             .map(|r| (r, predictions))
             .ok_or(ServiceError::Stopped)
@@ -1928,36 +1922,18 @@ impl CpiClient {
         // serialized with any other request for the same key), so the
         // combining task below is all cache hits — a raw
         // `Request::Delta` fits both sides on one worker instead.
-        let warm_old = self.submit(Request::Fit(ModelKey::new(
-            old,
-            Some(suite),
-            options.clone(),
-        )));
-        let warm_new = self.submit(Request::Fit(ModelKey::new(
-            new,
-            Some(suite),
-            options.clone(),
-        )));
-        for stream in [warm_old, warm_new] {
-            for response in stream {
-                if let Response::Error(e) = response {
-                    return Err(e);
-                }
-            }
-        }
-        for response in self.submit(Request::Delta {
+        let key = |machine| ModelKey::new(machine, Some(suite), options.clone());
+        self.warm([key(old), key(new)])?;
+        let combine = Request::Delta {
             old,
             new,
             suite,
             options,
-        }) {
-            match response {
-                Response::Delta(delta) => return Ok(delta),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        };
+        self.submit(combine).answer(|response| match response {
+            Response::Delta(delta) => Some(delta),
+            _ => None,
+        })
     }
 
     /// Runs a design-space sweep end to end and returns the ranked
@@ -1978,13 +1954,11 @@ impl CpiClient {
     pub fn sweep(&self, spec: SweepSpec) -> Result<SweepSummary, ServiceError> {
         let (simulated, stream) = self.sweep_begin(spec)?;
         let mut summary = None;
-        for response in stream {
-            match response {
-                Response::SweepSummary(s) => summary = Some(*s),
-                Response::Error(e) => return Err(e),
-                _ => {}
+        stream.drain(|response| {
+            if let Response::SweepSummary(s) = response {
+                summary = Some(*s);
             }
-        }
+        })?;
         let mut summary = summary.ok_or(ServiceError::Stopped)?;
         // The combining task only counts what *it* simulated (nothing —
         // the collect phase below ran first); fold the real collection
@@ -2014,35 +1988,20 @@ impl CpiClient {
         let variants =
             sweep::expand_selected(&spec).map_err(|error| ServiceError::Sweep { error })?;
         let mut simulated = (0, 0);
-        for response in self.submit(Request::SweepCollect(Box::new(spec.clone()))) {
-            match response {
-                Response::SweepReady { configs, runs } => simulated = (configs, runs),
-                Response::Error(e) => return Err(e),
-                _ => {}
+        let collect = self.submit(Request::SweepCollect(Box::new(spec.clone())));
+        collect.drain(|response| {
+            if let Response::SweepReady { configs, runs } = response {
+                simulated = (configs, runs);
             }
-        }
+        })?;
         // Warm base + variants concurrently, each on its key's home
         // shard — the same trick `delta` uses, scaled to the grid: the
         // expensive regressions run in parallel across the pool, and the
         // combining task below then serves pure cache hits.
         let keys = std::iter::once(spec.base)
-            .chain(variants.iter().map(|v| v.id).filter(|&id| id != spec.base));
-        let warms: Vec<ResponseStream> = keys
-            .map(|id| {
-                self.submit(Request::Fit(ModelKey::new(
-                    id,
-                    Some(spec.suite),
-                    spec.options.clone(),
-                )))
-            })
-            .collect();
-        for stream in warms {
-            for response in stream {
-                if let Response::Error(e) = response {
-                    return Err(e);
-                }
-            }
-        }
+            .chain(variants.iter().map(|v| v.id).filter(|&id| id != spec.base))
+            .map(|id| ModelKey::new(id, Some(spec.suite), spec.options.clone()));
+        self.warm(keys)?;
         Ok((simulated, self.submit(Request::Sweep(Box::new(spec)))))
     }
 
@@ -2059,21 +2018,11 @@ impl CpiClient {
         spec: MachineSpec,
         records: Vec<RunRecord>,
     ) -> Result<(usize, u64), ServiceError> {
-        for response in self.submit(Request::ImportRecords {
+        let request = Request::ImportRecords {
             spec: Box::new(spec),
             records,
-        }) {
-            match response {
-                Response::Ingested {
-                    records,
-                    generation,
-                    ..
-                } => return Ok((records, generation)),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        };
+        self.submit(request).answer(ingested)
     }
 
     /// Reads one machine's complete record store (every suite, batch
@@ -2091,23 +2040,9 @@ impl CpiClient {
         &self,
         machine: MachineId,
     ) -> Result<(crate::params::MicroarchParams, Vec<RunRecord>), ServiceError> {
-        if self
-            .router
-            .stopped
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            return Err(ServiceError::Stopped);
-        }
+        self.running()?;
         let guard = lock(&self.router.inner);
-        let state = guard
-            .tenant(&self.tenant)
-            .and_then(|t| t.machine(machine))
-            .ok_or(ServiceError::NotRegistered { machine })?;
-        let arch = *state
-            .spec
-            .as_ref()
-            .ok_or(ServiceError::NotRegistered { machine })?
-            .arch();
+        let (state, spec) = registered(&guard, &self.tenant, machine)?;
         let records: Vec<RunRecord> = state
             .batches
             .iter()
@@ -2120,7 +2055,7 @@ impl CpiClient {
                 suite: None,
             });
         }
-        Ok((arch, records))
+        Ok((*spec.arch(), records))
     }
 
     /// Snapshots the service counters.
@@ -2129,14 +2064,11 @@ impl CpiClient {
     ///
     /// [`ServiceError::Stopped`] when the service is gone.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        for response in self.submit(Request::Stats) {
-            match response {
-                Response::Stats(stats) => return Ok(stats),
-                Response::Error(e) => return Err(e),
-                _ => {}
-            }
-        }
-        Err(ServiceError::Stopped)
+        self.submit(Request::Stats)
+            .answer(|response| match response {
+                Response::Stats(stats) => Some(stats),
+                _ => None,
+            })
     }
 
     /// Serializes this tenant's current servable model for `key` as
@@ -2160,69 +2092,21 @@ impl CpiClient {
     /// when the key has no spec or no training records to bind a
     /// snapshot's digest to.
     pub fn export_snapshot(&self, key: &ModelKey) -> Result<Option<Vec<u8>>, ServiceError> {
-        if self
-            .router
-            .stopped
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            return Err(ServiceError::Stopped);
-        }
-        let (arch, batches, store, cached) = {
-            let guard = lock(&self.router.inner);
-            let state = guard
-                .tenant(&self.tenant)
-                .and_then(|t| t.machine(key.machine))
-                .ok_or(ServiceError::NotRegistered {
-                    machine: key.machine,
-                })?;
-            let spec = state.spec.as_ref().ok_or(ServiceError::NotRegistered {
-                machine: key.machine,
-            })?;
-            (
-                *spec.arch(),
-                state.batches.clone(),
-                guard.persist.clone(),
-                guard.cache.peek(&self.tenant, key, state.generation),
-            )
-        };
-        let snapshot = RecordsSnapshot {
-            batches,
-            suite: key.suite,
-        };
-        let records = snapshot.to_vec();
-        if records.is_empty() {
-            return Err(ServiceError::NoRecords {
-                machine: key.machine,
-                suite: key.suite,
-            });
-        }
-        let digest = persist::records_digest(&records);
+        self.running()?;
+        let (resolved, cached) = resolve(&self.router.inner, &self.tenant, key, |guard, state| {
+            guard.cache.peek(&self.tenant, key, state.generation)
+        })?;
+        let records = resolved.snapshot.to_vec();
         if let Some(model) = cached {
-            return Ok(Some(persist::encode(&persist::ModelSnapshot {
-                machine: key.machine,
-                suite: key.suite,
-                options_fingerprint: key.options.fingerprint(),
-                records_digest: digest,
-                records: records.len() as u32,
-                arch,
-                params: *model.params(),
-                interval_cap: model.interval_cap(),
-                objective: model.objective(),
-            })));
+            let digest = persist::records_digest(&records);
+            return Ok(Some(persist::encode(&resolved.snapshot_of(digest, &model))));
         }
         // Not in memory: the node may still hold it on disk (warm-loaded
         // then evicted, or persisted before a restart).
-        let store = store.and_then(|root| root.for_tenant(&self.tenant).ok());
-        if let Some(store) = store {
-            if let Ok(Some(snap)) =
-                store.load(key.machine, key.suite, key.options.fingerprint(), digest)
-            {
-                if snap.arch == arch {
-                    return Ok(Some(persist::encode(&snap)));
-                }
-            }
-        }
-        Ok(None)
+        let snap = resolved
+            .store(&records)
+            .and_then(|store| resolved.persisted(&store));
+        Ok(snap.map(|snap| persist::encode(&snap)))
     }
 
     /// Installs replicated snapshot bytes into this tenant's **on-disk**
@@ -2241,35 +2125,22 @@ impl CpiClient {
     /// valid snapshot, or the service runs without a state dir (nowhere
     /// durable to install to).
     pub fn import_snapshot(&self, bytes: &[u8]) -> Result<(), ServiceError> {
-        if self
-            .router
-            .stopped
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            return Err(ServiceError::Stopped);
-        }
-        let snap = persist::decode(bytes).map_err(|e| ServiceError::Snapshot {
-            detail: e.to_string(),
-        })?;
+        self.running()?;
+        let failed = |detail: String| ServiceError::Snapshot { detail };
+        let snap = persist::decode(bytes).map_err(|e| failed(e.to_string()))?;
         let store = lock(&self.router.inner)
             .persist
             .clone()
-            .ok_or_else(|| ServiceError::Snapshot {
-                detail: "this node runs without a state dir".into(),
-            })?
+            .ok_or_else(|| failed("this node runs without a state dir".into()))?
             .for_tenant(&self.tenant)
-            .map_err(|e| ServiceError::Snapshot {
-                detail: e.to_string(),
-            })?;
-        store.save(&snap).map_err(|e| ServiceError::Snapshot {
-            detail: e.to_string(),
-        })?;
+            .map_err(|e| failed(e.to_string()))?;
+        store.save(&snap).map_err(|e| failed(e.to_string()))?;
         Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// The worker loop — the one fitting code path
+// The worker loop — the service's fitting path
 // ---------------------------------------------------------------------------
 
 fn worker_loop(rx: mpsc::Receiver<WorkerMsg>, inner: &Mutex<Inner>) {
@@ -2739,149 +2610,240 @@ impl RecordsSnapshot {
     }
 }
 
-/// Serves one model key for one tenant. The machine's store is
-/// snapshotted under the lock in O(batches) `Arc` clones; record
-/// filtering/copying and the regression all run *outside* it, so a slow
-/// fit or a huge record set on one shard never stalls ingestion or cached
-/// serves on another. Cache hits copy no records at all — the returned
-/// snapshot streams them in place, and the `Vec` is `Some` only when a
-/// miss had to materialize one (so `Group`/`Delta` reuse it instead of
-/// re-copying). A memory miss with a state dir consults the tenant's own
-/// slice of the [`persist::SnapshotStore`] before fitting: a snapshot
-/// whose records digest and arch match the *current* training state is
-/// restored without a regression (counted as a [`CacheStats::warm_loads`]
-/// hit); any mismatch or corruption falls through to a fresh fit, whose
-/// result is then written back to disk — here, behind the worker pool,
-/// never on a client thread. Everything — the machine lookup, the cache,
-/// the disk store — is tenant-scoped: another tenant's records, models or
-/// snapshots are unreachable from this path. This is the single fitting
-/// code path behind the service *and* `Workbench::fit()`.
+/// One model key's request, resolved under a single lock by [`resolve`]:
+/// the machine's constants, a point-in-time view of the key's records and
+/// the generation it belongs to, and the deployment knobs a fit reads.
+struct Resolved<'a> {
+    inner: &'a Mutex<Inner>,
+    tenant: &'a TenantId,
+    key: &'a ModelKey,
+    arch: crate::params::MicroarchParams,
+    snapshot: RecordsSnapshot,
+    generation: u64,
+    /// Records in `snapshot` (never 0).
+    count: usize,
+    persist: Option<SnapshotStore>,
+    fit_threads: Option<usize>,
+}
+
+/// Tenant → machine → registered spec.
+///
+/// # Errors
+///
+/// [`ServiceError::NotRegistered`] when the tenant, the machine or its
+/// spec is missing.
+fn registered<'g>(
+    inner: &'g Inner,
+    tenant: &TenantId,
+    machine: MachineId,
+) -> Result<(&'g MachineState, &'g MachineSpec), ServiceError> {
+    inner
+        .tenant(tenant)
+        .and_then(|t| t.machine(machine))
+        .and_then(|state| Some((state, state.spec.as_ref()?)))
+        .ok_or(ServiceError::NotRegistered { machine })
+}
+
+/// The prologue of every path that serves a model for `key`: one lock
+/// resolves tenant → machine → spec and snapshots the machine's store in
+/// O(batches) `Arc` clones; `extra` reads what else its caller needs
+/// under that lock. Record filtering/copying and the regression all run
+/// *outside* it, so a slow fit or a huge record set on one shard never
+/// stalls ingestion or cached serves on another.
+///
+/// # Errors
+///
+/// [`ServiceError::NotRegistered`] when the machine or its spec is
+/// missing; [`ServiceError::NoRecords`] when the key selects no records.
+fn resolve<'a, T>(
+    inner: &'a Mutex<Inner>,
+    tenant: &'a TenantId,
+    key: &'a ModelKey,
+    extra: impl FnOnce(&Inner, &MachineState) -> T,
+) -> Result<(Resolved<'a>, T), ServiceError> {
+    let guard = lock(inner);
+    let (state, spec) = registered(&guard, tenant, key.machine)?;
+    let mut resolved = Resolved {
+        inner,
+        tenant,
+        key,
+        arch: *spec.arch(),
+        snapshot: RecordsSnapshot {
+            batches: state.batches.clone(),
+            suite: key.suite,
+        },
+        generation: state.generation,
+        count: 0,
+        persist: guard.persist.clone(),
+        fit_threads: guard.fit_threads,
+    };
+    let extra = extra(&guard, state);
+    drop(guard);
+    resolved.count = resolved.snapshot.iter().count();
+    if resolved.count == 0 {
+        return Err(ServiceError::NoRecords {
+            machine: key.machine,
+            suite: key.suite,
+        });
+    }
+    Ok((resolved, extra))
+}
+
+impl Resolved<'_> {
+    fn report(&self, model: Arc<InferredModel>, cached: bool) -> ModelReport {
+        ModelReport {
+            machine: self.key.machine,
+            suite: self.key.suite,
+            records: self.count,
+            model,
+            cached,
+            generation: self.generation,
+        }
+    }
+
+    /// The tenant's private slice of the snapshot store (the root for the
+    /// local tenant, `tenant-<name>/` otherwise) and the digest that binds
+    /// a persisted model to these exact `records`: a restart that replays
+    /// the same batches reproduces it; one changed counter anywhere does
+    /// not. `None` without a state dir, or when a sick disk cannot open
+    /// the slice — persistence is best-effort, so that is a plain miss.
+    fn store(&self, records: &[RunRecord]) -> Option<(SnapshotStore, u64)> {
+        let store = self.persist.as_ref()?.for_tenant(self.tenant).ok()?;
+        Some((store, persist::records_digest(records)))
+    }
+
+    /// The model persisted in `store` for these records and constants. A
+    /// missing, corrupt or mismatched snapshot is a miss, never an error
+    /// (and never a stale model).
+    fn persisted(&self, (store, digest): &(SnapshotStore, u64)) -> Option<persist::ModelSnapshot> {
+        let key = self.key;
+        store
+            .load(key.machine, key.suite, key.options.fingerprint(), *digest)
+            .ok()
+            .flatten()
+            .filter(|snap| snap.arch == self.arch)
+    }
+
+    /// `model` as a snapshot bound to the records behind `digest`.
+    fn snapshot_of(&self, digest: u64, model: &InferredModel) -> persist::ModelSnapshot {
+        persist::ModelSnapshot {
+            machine: self.key.machine,
+            suite: self.key.suite,
+            options_fingerprint: self.key.options.fingerprint(),
+            records_digest: digest,
+            records: self.count as u32,
+            arch: self.arch,
+            params: *model.params(),
+            interval_cap: model.interval_cap(),
+            objective: model.objective(),
+        }
+    }
+
+    /// Fits the key from scratch on `records` — the service's one call
+    /// into the regression — then counts it, caches it at the resolved
+    /// generation and writes it behind to `store`, on the worker, never
+    /// on a client thread. `on_insert` runs under the insert's lock, for
+    /// what only its caller counts.
+    fn fresh_fit(
+        &self,
+        records: &[RunRecord],
+        store: Option<&(SnapshotStore, u64)>,
+        on_insert: impl FnOnce(&mut Inner, &InferredModel),
+    ) -> Result<Arc<InferredModel>, ServiceError> {
+        let (tenant, key) = (self.tenant, self.key);
+        // The deployment cap on regression fan-out applies here, after the
+        // cache key was formed: thread budgets never split keys (they cannot
+        // change the fitted bits).
+        let options = match self.fit_threads {
+            Some(threads) => key.options.clone().with_threads(threads),
+            None => key.options.clone(),
+        };
+        let fit_start = Instant::now();
+        let (model, profile) =
+            InferredModel::fit_profiled(&self.arch, records, &options).map_err(|error| {
+                ServiceError::Fit {
+                    machine: key.machine,
+                    suite: key.suite,
+                    error,
+                }
+            })?;
+        let fit_wall_us = fit_start.elapsed().as_micros() as u64;
+        let model = Arc::new(model);
+        {
+            let mut guard = lock(self.inner);
+            guard.tenant_mut(tenant).fits += 1;
+            let stats = guard.cache.stats_mut(tenant);
+            stats.fit_evals += profile.evals;
+            stats.fit_wall_us += fit_wall_us;
+            guard
+                .cache
+                .insert(tenant, key, self.generation, Arc::clone(&model));
+            on_insert(&mut guard, &model);
+        }
+        if let Some((store, digest)) = store {
+            // Best-effort write-behind: a full disk must not fail the request
+            // the model was just fitted for.
+            let _ = store.save(&self.snapshot_of(*digest, &model));
+        }
+        Ok(model)
+    }
+}
+
+/// Serves one model key for one tenant. Cache hits copy no records at
+/// all — the returned snapshot streams them in place, and the `Vec` is
+/// `Some` only when a miss had to materialize one (so `Group`/`Delta`
+/// reuse it instead of re-copying). A memory miss with a state dir
+/// consults the tenant's own slice of the [`persist::SnapshotStore`]
+/// before fitting: a snapshot whose records digest and arch match the
+/// *current* training state is restored without a regression (counted as
+/// a [`CacheStats::warm_loads`] hit); any mismatch or corruption falls
+/// through to a fresh fit, whose result is then written back to disk.
+/// Everything — the machine lookup, the cache, the disk store — is
+/// tenant-scoped: another tenant's records, models or snapshots are
+/// unreachable from this path. `Workbench::fit()` calls the same
+/// [`InferredModel::fit`] directly; this is the service's caching wrapper
+/// around it.
 #[allow(clippy::type_complexity)]
 fn fit_key(
     inner: &Mutex<Inner>,
     tenant: &TenantId,
     key: &ModelKey,
 ) -> Result<(ModelReport, RecordsSnapshot, Option<Vec<RunRecord>>), ServiceError> {
-    let (arch, batches, generation, store, fit_threads) = {
-        let guard = lock(inner);
-        let state = guard
-            .tenant(tenant)
-            .and_then(|t| t.machine(key.machine))
-            .ok_or(ServiceError::NotRegistered {
-                machine: key.machine,
-            })?;
-        let spec = state.spec.as_ref().ok_or(ServiceError::NotRegistered {
-            machine: key.machine,
-        })?;
-        (
-            *spec.arch(),
-            state.batches.clone(),
-            state.generation,
-            guard.persist.clone(),
-            guard.fit_threads,
-        )
-    };
-    let snapshot = RecordsSnapshot {
-        batches,
-        suite: key.suite,
-    };
-    let count = snapshot.iter().count();
-    if count == 0 {
-        return Err(ServiceError::NoRecords {
-            machine: key.machine,
-            suite: key.suite,
-        });
-    }
-    let report = |model: Arc<InferredModel>, cached: bool| ModelReport {
-        machine: key.machine,
-        suite: key.suite,
-        records: count,
-        model,
-        cached,
-        generation,
-    };
+    let (resolved, ()) = resolve(inner, tenant, key, |_, _| ())?;
     // The generation travels with the snapshot: if a batch lands between
     // the snapshot and this lookup (or the insert below), the entry is
     // recorded against the old generation and retires on its next lookup.
-    let hit = lock(inner).cache.lookup(tenant, key, generation);
+    let hit = lock(inner).cache.lookup(tenant, key, resolved.generation);
     if let Some(model) = hit {
-        return Ok((report(model, true), snapshot, None));
+        return Ok((resolved.report(model, true), resolved.snapshot, None));
     }
-    // Only a miss pays for disk state: resolve the tenant's private
-    // slice of the snapshot store here (the root for the local tenant,
-    // `tenant-<name>/` otherwise — a directory syscall that must not tax
-    // the cache-hit path above). Opening can fail on a sick disk;
-    // persistence is best-effort, so that is a plain miss.
-    let store = store.and_then(|root| root.for_tenant(tenant).ok());
-    let records = snapshot.to_vec();
-    // The digest binds any persisted model to these exact records: a
-    // restart that replays the same batches reproduces it; one changed
-    // counter anywhere does not.
-    let digest = store.as_ref().map(|_| persist::records_digest(&records));
-    if let (Some(store), Some(digest)) = (&store, digest) {
-        // A corrupt or mismatched snapshot is a miss, never an error (and
-        // never a stale model): fall through to the regression below.
-        if let Ok(Some(snap)) =
-            store.load(key.machine, key.suite, key.options.fingerprint(), digest)
-        {
-            if snap.arch == arch {
-                let model = Arc::new(InferredModel::from_parts(
-                    snap.arch,
-                    snap.params,
-                    snap.interval_cap,
-                    snap.objective,
-                ));
-                lock(inner)
-                    .cache
-                    .promote_warm(tenant, key, generation, Arc::clone(&model));
-                return Ok((report(model, true), snapshot, Some(records)));
-            }
+    // Only a miss pays for disk state: opening the tenant's slice is a
+    // directory syscall that must not tax the cache-hit path above.
+    let records = resolved.snapshot.to_vec();
+    let store = resolved.store(&records);
+    let (model, cached) = match store.as_ref().and_then(|store| resolved.persisted(store)) {
+        Some(snap) => {
+            let model = Arc::new(InferredModel::from_parts(
+                snap.arch,
+                snap.params,
+                snap.interval_cap,
+                snap.objective,
+            ));
+            lock(inner)
+                .cache
+                .promote_warm(tenant, key, resolved.generation, Arc::clone(&model));
+            (model, true)
         }
-    }
-    // The deployment cap on regression fan-out applies here, after the
-    // cache key was formed: thread budgets never split keys (they cannot
-    // change the fitted bits).
-    let options = match fit_threads {
-        Some(threads) => key.options.clone().with_threads(threads),
-        None => key.options.clone(),
+        None => (
+            resolved.fresh_fit(&records, store.as_ref(), |_, _| {})?,
+            false,
+        ),
     };
-    let fit_start = Instant::now();
-    let (model, profile) =
-        InferredModel::fit_profiled(&arch, &records, &options).map_err(|error| {
-            ServiceError::Fit {
-                machine: key.machine,
-                suite: key.suite,
-                error,
-            }
-        })?;
-    let fit_wall_us = fit_start.elapsed().as_micros() as u64;
-    let model = Arc::new(model);
-    {
-        let mut guard = lock(inner);
-        guard.tenant_mut(tenant).fits += 1;
-        let stats = guard.cache.stats_mut(tenant);
-        stats.fit_evals += profile.evals;
-        stats.fit_wall_us += fit_wall_us;
-        guard
-            .cache
-            .insert(tenant, key, generation, Arc::clone(&model));
-    }
-    if let (Some(store), Some(digest)) = (&store, digest) {
-        // Best-effort write-behind: a full disk must not fail the request
-        // the model was just fitted for.
-        let _ = store.save(&persist::ModelSnapshot {
-            machine: key.machine,
-            suite: key.suite,
-            options_fingerprint: key.options.fingerprint(),
-            records_digest: digest,
-            records: count as u32,
-            arch,
-            params: *model.params(),
-            interval_cap: model.interval_cap(),
-            objective: model.objective(),
-        });
-    }
-    Ok((report(model, false), snapshot, Some(records)))
+    Ok((
+        resolved.report(model, cached),
+        resolved.snapshot,
+        Some(records),
+    ))
 }
 
 /// Digest of the *workload's identity*: the distinct benchmark names in a
@@ -2931,70 +2893,33 @@ fn refit_key(
         suite: key.suite,
         options: key.options.fingerprint(),
     };
-    let (arch, batches, generation, store, fit_threads, policy, baseline) = {
-        let guard = lock(inner);
-        let state = guard
-            .tenant(tenant)
-            .and_then(|t| t.machine(key.machine))
-            .ok_or(ServiceError::NotRegistered {
-                machine: key.machine,
-            })?;
-        let spec = state.spec.as_ref().ok_or(ServiceError::NotRegistered {
-            machine: key.machine,
-        })?;
-        (
-            *spec.arch(),
-            state.batches.clone(),
-            state.generation,
-            guard.persist.clone(),
-            guard.fit_threads,
-            guard.refit.clone(),
-            state.baseline(&baseline_key).cloned(),
-        )
-    };
-    let snapshot = RecordsSnapshot {
-        batches,
-        suite: key.suite,
-    };
-    let count = snapshot.iter().count();
-    if count == 0 {
-        return Err(ServiceError::NoRecords {
-            machine: key.machine,
-            suite: key.suite,
-        });
-    }
-    let report = |model: Arc<InferredModel>, cached: bool| ModelReport {
-        machine: key.machine,
-        suite: key.suite,
-        records: count,
-        model,
-        cached,
-        generation,
-    };
+    let (resolved, (policy, baseline)) = resolve(inner, tenant, key, |guard, state| {
+        (guard.refit.clone(), state.baseline(&baseline_key).cloned())
+    })?;
     if !force_full {
-        let hit = lock(inner).cache.lookup(tenant, key, generation);
+        let hit = lock(inner).cache.lookup(tenant, key, resolved.generation);
         if let Some(model) = hit {
-            return Ok((report(model, true), RefitMode::Cached));
+            return Ok((resolved.report(model, true), RefitMode::Cached));
         }
     }
-    let records = snapshot.to_vec();
+    let count = resolved.count;
+    let records = resolved.snapshot.to_vec();
     let digest = workload_digest(&records);
-    let fit_error = |error: FitError| ServiceError::Fit {
-        machine: key.machine,
-        suite: key.suite,
-        error,
-    };
     // Try the warm-start polish when the guard allows it. Its effort is
     // tallied whether or not the guard accepts the result — a rejected
     // polish still spent its (warm_evals-bounded) budget.
     let mut polish_cost = (0u64, 0u64); // (evals, wall µs)
     let warm = match (&baseline, force_full) {
         (Some(b), false) if b.workload_digest == digest && b.since_full + 1 < policy.full_every => {
-            let anchor = InferredModel::from_parts(arch, b.params, b.interval_cap, 0.0);
+            let anchor = InferredModel::from_parts(resolved.arch, b.params, b.interval_cap, 0.0);
             let polish_start = Instant::now();
             let (polished, profile) = anchor
                 .refit_profiled(&records, &key.options, policy.warm_evals)
-                .map_err(fit_error)?;
+                .map_err(|error| ServiceError::Fit {
+                    machine: key.machine,
+                    suite: key.suite,
+                    error,
+                })?;
             polish_cost = (profile.evals, polish_start.elapsed().as_micros() as u64);
             let norm = polished.objective() / count as f64;
             // The drift guard: accept only while the polish tracks the
@@ -3014,7 +2939,7 @@ fn refit_key(
         stats.fit_wall_us += polish_cost.1;
         guard
             .cache
-            .insert(tenant, key, generation, Arc::clone(&model));
+            .insert(tenant, key, resolved.generation, Arc::clone(&model));
         let baseline = baseline.expect("warm polish requires a baseline");
         guard
             .tenant_mut(tenant)
@@ -3028,28 +2953,17 @@ fn refit_key(
                 },
             );
         drop(guard);
-        return Ok((report(model, false), RefitMode::Incremental));
+        return Ok((resolved.report(model, false), RefitMode::Incremental));
     }
-    // Full fan-out: fit, re-anchor, persist.
-    let options = match fit_threads {
-        Some(threads) => key.options.clone().with_threads(threads),
-        None => key.options.clone(),
-    };
-    let fit_start = Instant::now();
-    let (model, profile) =
-        InferredModel::fit_profiled(&arch, &records, &options).map_err(fit_error)?;
-    let fit_wall_us = fit_start.elapsed().as_micros() as u64;
-    let model = Arc::new(model);
-    {
-        let mut guard = lock(inner);
-        guard.tenant_mut(tenant).fits += 1;
+    // Full fan-out: the plain fitting path's fresh fit and write-behind,
+    // plus what only a stream counts (the full refit, any rejected
+    // polish's cost) and the re-anchored baseline.
+    let store = resolved.store(&records);
+    let model = resolved.fresh_fit(&records, store.as_ref(), |guard, model| {
         let stats = guard.cache.stats_mut(tenant);
         stats.full_refits += 1;
-        stats.fit_evals += profile.evals + polish_cost.0;
-        stats.fit_wall_us += fit_wall_us + polish_cost.1;
-        guard
-            .cache
-            .insert(tenant, key, generation, Arc::clone(&model));
+        stats.fit_evals += polish_cost.0;
+        stats.fit_wall_us += polish_cost.1;
         guard
             .tenant_mut(tenant)
             .machine_mut(key.machine)
@@ -3063,23 +2977,8 @@ fn refit_key(
                     since_full: 0,
                 },
             );
-    }
-    // Best-effort write-behind, exactly as the plain fitting path does.
-    let store = store.and_then(|root| root.for_tenant(tenant).ok());
-    if let Some(store) = store {
-        let _ = store.save(&persist::ModelSnapshot {
-            machine: key.machine,
-            suite: key.suite,
-            options_fingerprint: key.options.fingerprint(),
-            records_digest: persist::records_digest(&records),
-            records: count as u32,
-            arch,
-            params: *model.params(),
-            interval_cap: model.interval_cap(),
-            objective: model.objective(),
-        });
-    }
-    Ok((report(model, false), RefitMode::Full))
+    })?;
+    Ok((resolved.report(model, false), RefitMode::Full))
 }
 
 #[cfg(test)]

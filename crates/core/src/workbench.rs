@@ -876,8 +876,8 @@ impl Workbench {
         };
         for (i, spec) in specs.iter().enumerate() {
             if specs[..i].iter().any(|s| s.id() == spec.id()) {
-                // The serving layer stores records per machine id, so two
-                // specs for one machine would silently merge campaigns.
+                // Fitted groups are looked up by machine id, so a second
+                // spec for one machine would shadow the first's models.
                 return Err(PipelineError::Config(format!(
                     "machine `{}` was added twice",
                     spec.id().name()
@@ -982,91 +982,69 @@ impl Collected {
     }
 
     /// Runs the fit stage: one model per group (machine × suite by
-    /// default). Implemented on top of an ephemeral
-    /// [`CpiService`](crate::service::CpiService) — the workbench registers
-    /// its machines, ingests the collected records, and submits one
-    /// [`Group`](crate::service::Request::Group) request per model, so the
-    /// one-shot path and the long-lived serving path share a single
-    /// fitting code path. With parallelism on, groups fan out across the
-    /// service's worker shards; fitting is deterministic, so the threading
-    /// never changes results.
+    /// default), each an [`InferredModel::fit`] call on the group's
+    /// records. With parallelism on, every group fits on its own scoped
+    /// thread; fitting is deterministic, so the threading never changes
+    /// results. The long-lived serving layer wraps the same call behind
+    /// its model cache and snapshot store.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Fit`] naming the first group whose inference
-    /// failed.
+    /// [`PipelineError::Fit`] naming the first group, in pipeline order,
+    /// whose inference failed.
     pub fn fit(self) -> Result<Fitted, PipelineError> {
-        use crate::service::{CpiService, ModelKey, Response, ServiceConfig, ServiceError};
-
         // Deterministic group order: specs in pipeline order, suites in
         // Suite::ALL order, empty groups skipped.
-        let mut keys: Vec<ModelKey> = Vec::new();
-        for (spec, records) in self.specs.iter().zip(&self.records) {
+        let mut groups: Vec<(&MachineSpec, Option<Suite>, Vec<RunRecord>)> = Vec::new();
+        for (spec, records) in self.specs.iter().zip(self.records) {
             match self.grouping {
-                Grouping::Machine => {
-                    keys.push(ModelKey::pooled(spec.id(), self.options.clone()));
-                }
+                Grouping::Machine => groups.push((spec, None, records)),
                 Grouping::MachineSuite => {
                     for suite in Suite::ALL {
-                        if records.iter().any(|r| r.suite() == suite) {
-                            keys.push(ModelKey::new(spec.id(), Some(suite), self.options.clone()));
+                        let picked: Vec<RunRecord> = records
+                            .iter()
+                            .filter(|r| r.suite() == suite)
+                            .cloned()
+                            .collect();
+                        if !picked.is_empty() {
+                            groups.push((spec, Some(suite), picked));
                         }
                     }
                 }
             }
         }
-
-        let workers = if self.parallel { keys.len().max(1) } else { 1 };
-        let service = CpiService::start(
-            ServiceConfig::new()
-                .with_workers(workers)
-                .with_cache_capacity(keys.len().max(1)),
-        );
-        let client = service.client();
-        let stopped = || PipelineError::Config("the fitting service stopped early".into());
-        for (spec, records) in self.specs.iter().zip(self.records) {
-            client.register(spec.clone()).map_err(|_| stopped())?;
-            client.ingest(records).map_err(|_| stopped())?;
-        }
-
-        // Submit every group before collecting any, so shards fit in
-        // parallel — pinned round-robin (one group per worker), since hash
-        // placement would collide some of these distinct one-shot keys
-        // onto one shard and leave workers idle. Then drain in submission
-        // order for deterministic (first-failing-group) error reporting.
-        let streams: Vec<_> = keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, key)| client.submit_group_at(i, key))
-            .collect();
-        let mut groups = Vec::with_capacity(streams.len());
-        for stream in streams {
-            let mut found = None;
-            for response in stream {
-                match response {
-                    Response::Group(group) => found = Some(*group),
-                    Response::Error(ServiceError::Fit {
-                        machine,
-                        suite,
-                        error,
-                    }) => {
-                        return Err(PipelineError::Fit {
-                            machine,
-                            suite,
-                            error,
-                        })
-                    }
-                    Response::Error(e) => {
-                        return Err(PipelineError::Config(format!("fit service: {e}")))
-                    }
-                    _ => {}
-                }
+        let fit_group = |(spec, suite, records): (&MachineSpec, Option<Suite>, Vec<RunRecord>)| {
+            let machine = spec.id();
+            match InferredModel::fit(spec.arch(), &records, &self.options) {
+                Ok(model) => Ok(FittedGroup {
+                    machine,
+                    suite,
+                    arch: *spec.arch(),
+                    model,
+                    records,
+                }),
+                Err(error) => Err(PipelineError::Fit {
+                    machine,
+                    suite,
+                    error,
+                }),
             }
-            groups.push(found.ok_or_else(stopped)?);
-        }
-        drop(client);
-        service.shutdown();
-        Ok(Fitted { groups })
+        };
+        let fitted: Vec<Result<FittedGroup, PipelineError>> = if self.parallel {
+            let fit_group = &fit_group;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .into_iter()
+                    .map(|group| scope.spawn(move || fit_group(group)))
+                    .collect();
+                handles.into_iter().map(join_unwinding).collect()
+            })
+        } else {
+            groups.into_iter().map(fit_group).collect()
+        };
+        Ok(Fitted {
+            groups: fitted.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -1115,8 +1093,7 @@ pub struct Fitted {
 
 impl Fitted {
     /// Assembles a `Fitted` from groups produced elsewhere — e.g. by
-    /// [`Group`](crate::service::Request::Group) requests against a
-    /// long-lived [`CpiService`](crate::service::CpiService). Group order
+    /// `Group` requests against the long-lived serving layer. Group order
     /// is preserved.
     pub fn from_groups(groups: Vec<FittedGroup>) -> Self {
         Self { groups }
@@ -1421,6 +1398,27 @@ mod tests {
                 assert_eq!(got, 2);
             }
             other => panic!("expected Fit error, got {other:?}"),
+        }
+
+        // Two failing machines: the error names the first in pipeline
+        // order, however the fan-out schedules the fits.
+        let (p4, c2) = (MachineConfig::pentium4(), MachineConfig::core2());
+        for order in [[p4.clone(), c2.clone()], [c2, p4]] {
+            let first = order[0].id;
+            for parallel in [true, false] {
+                let err = Workbench::new()
+                    .machines(order.clone())
+                    .source(SimSource::new().suite(small_suite(2)).uops(1_000))
+                    .parallel(parallel)
+                    .collect()
+                    .expect("collect")
+                    .fit()
+                    .expect_err("underdetermined");
+                assert!(
+                    matches!(err, PipelineError::Fit { machine, .. } if machine == first),
+                    "parallel={parallel}: expected a Fit error naming {first:?}, got {err:?}"
+                );
+            }
         }
     }
 

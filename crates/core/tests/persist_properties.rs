@@ -9,18 +9,16 @@ use memodel::{MicroarchParams, ModelParams};
 use pmu::{MachineId, Suite};
 use proptest::prelude::*;
 
-/// Builds a snapshot from raw strategy outputs. Machine/suite pick by
-/// index so every name length (and the pooled empty-suite encoding) is
-/// exercised.
+/// Builds a snapshot from raw strategy outputs: the header's
+/// `(fingerprint, digest, records)` and the fit's `(interval_cap,
+/// objective)`. Machine/suite pick by index so every name length (and
+/// the pooled empty-suite encoding) is exercised.
 fn snapshot_from(
     which: u64,
-    fingerprint: u64,
-    digest: u64,
-    records: u64,
+    (fingerprint, digest, records): (u64, u64, u64),
     arch: &[f64],
     b: &[f64],
-    interval_cap: f64,
-    objective: f64,
+    (interval_cap, objective): (f64, f64),
 ) -> ModelSnapshot {
     let machine = MachineId::ALL[(which % 3) as usize];
     let suite = [None, Some(Suite::Cpu2000), Some(Suite::Cpu2006)][((which / 3) % 3) as usize];
@@ -54,7 +52,7 @@ proptest! {
         objective in 0.0f64..1e12,
     ) {
         let snap = snapshot_from(
-            which, fingerprint, digest, records, &arch, &b, interval_cap, objective,
+            which, (fingerprint, digest, records), &arch, &b, (interval_cap, objective),
         );
         let bytes = encode(&snap);
         let back = decode(&bytes).expect("pristine bytes decode");
@@ -77,8 +75,8 @@ proptest! {
         flip in 1u64..256,
     ) {
         let snap = snapshot_from(
-            which, fingerprint, digest, 48,
-            &[4.0, 14.0, 19.0, 169.0, 30.0], &b, 256.0, 0.5,
+            which, (fingerprint, digest, 48),
+            &[4.0, 14.0, 19.0, 169.0, 30.0], &b, (256.0, 0.5),
         );
         let mut bytes = encode(&snap);
         let index = position % bytes.len();
@@ -104,7 +102,7 @@ proptest! {
         ));
         let store = SnapshotStore::open(&dir).expect("temp store opens");
         let snap = snapshot_from(
-            1, 7, 9, 48, &[4.0, 14.0, 19.0, 169.0, 30.0], &b, 256.0, 0.5,
+            1, (7, 9, 48), &[4.0, 14.0, 19.0, 169.0, 30.0], &b, (256.0, 0.5),
         );
         let path = store.save(&snap).expect("save");
         let loaded = store

@@ -3,7 +3,7 @@
 //! with the one-shot `Workbench` path.
 
 use memodel::service::{CpiService, ModelCache, ModelKey, ServiceConfig, TenantId};
-use memodel::workbench::{MachineSpec, SimSource, Workbench};
+use memodel::workbench::{Grouping, MachineSpec, RecordsSource, SimSource, Workbench};
 use memodel::FitOptions;
 use oosim::machine::MachineConfig;
 use pmu::{MachineId, RunRecord, Suite};
@@ -302,20 +302,23 @@ fn concurrent_clients_share_one_fit_and_match_workbench() {
 }
 
 #[test]
-fn workbench_fit_is_served_through_the_service_path() {
-    // Two machines, both suites sliced: the one-shot path and a manual
-    // service session must agree group for group.
-    let suite: Vec<_> = specgen::suites::cpu2000().into_iter().take(12).collect();
-    let source = SimSource::new().suite(suite).uops(UOPS).seed(SEED);
-    let fitted = Workbench::new()
+fn workbench_fit_matches_the_service_path() {
+    // Two machines, two suites: the one-shot path fits directly, and a
+    // service session must agree with it group for group — per suite
+    // and pooled (the CLI `fit` grouping), fanned out and sequential.
+    let take12 = |suite: Vec<_>| suite.into_iter().take(12).collect::<Vec<_>>();
+    let source = SimSource::new()
+        .suite(take12(specgen::suites::cpu2000()))
+        .suite(take12(specgen::suites::cpu2006()))
+        .uops(UOPS)
+        .seed(SEED);
+    let collected = Workbench::new()
         .machine(MachineConfig::pentium4())
         .machine(MachineConfig::core2())
         .source(source.clone())
         .fit_options(FitOptions::quick())
         .collect()
-        .expect("collect")
-        .fit()
-        .expect("fit");
+        .expect("collect");
 
     let service = CpiService::start(ServiceConfig::new());
     let client = service.client();
@@ -326,16 +329,39 @@ fn workbench_fit_is_served_through_the_service_path() {
             .expect("register");
         client.ingest(records).expect("ingest");
     }
-    for group in fitted.groups() {
-        let served = client
-            .group(ModelKey::new(
-                group.machine,
-                group.suite,
-                FitOptions::quick(),
-            ))
-            .expect("served group");
-        assert_eq!(served.model.params(), group.model.params());
-        assert_eq!(served.stacks_csv(), group.stacks_csv());
+    for (grouping, parallel, groups) in [
+        (Grouping::MachineSuite, true, 4),
+        (Grouping::MachineSuite, false, 4),
+        (Grouping::Machine, true, 2),
+        (Grouping::Machine, false, 2),
+    ] {
+        let fitted = Workbench::new()
+            .machine(MachineConfig::pentium4())
+            .machine(MachineConfig::core2())
+            .source(RecordsSource::new(collected.records().cloned().collect()))
+            .fit_options(FitOptions::quick())
+            .grouping(grouping)
+            .parallel(parallel)
+            .collect()
+            .expect("collect")
+            .fit()
+            .expect("fit");
+        assert_eq!(fitted.groups().len(), groups, "{grouping:?}");
+        for group in fitted.groups() {
+            let key = match group.suite {
+                Some(suite) => ModelKey::new(group.machine, Some(suite), FitOptions::quick()),
+                None => ModelKey::pooled(group.machine, FitOptions::quick()),
+            };
+            let served = client.group(key).expect("served group");
+            let context = format!("{grouping:?} parallel={parallel} {:?}", group.suite);
+            assert_eq!(served.model.params(), group.model.params(), "{context}");
+            assert_eq!(
+                served.model.objective().to_bits(),
+                group.model.objective().to_bits(),
+                "{context}"
+            );
+            assert_eq!(served.stacks_csv(), group.stacks_csv(), "{context}");
+        }
     }
     service.shutdown();
 }

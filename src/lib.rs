@@ -480,10 +480,10 @@
 //! ## Quick scripts: the one-shot [`Workbench`]
 //!
 //! When one result is all you need, the [`Workbench`] builder runs the
-//! whole collect → fit → stacks flow in a single expression — internally
-//! it spins up an ephemeral [`CpiService`], so both paths share one
-//! fitting code path. Every failure is a typed [`PipelineError`] naming
-//! the stage that broke:
+//! whole collect → fit → stacks flow in a single expression. It calls
+//! the same fit the [`CpiService`] caches, with no service in between,
+//! so both paths yield the same models. Every failure is a typed
+//! [`PipelineError`] naming the stage that broke:
 //!
 //! ```
 //! use cpistack::model::FitOptions;

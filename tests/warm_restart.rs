@@ -2,15 +2,18 @@
 //! against the same `--state-dir` must serve its first fit request from
 //! disk — zero regressions, byte-identical stacks — and a new counter
 //! batch after the restart must force exactly one re-fit (the records
-//! digest changed; stale parameters are never served).
+//! digest changed; stale parameters are never served). The streaming
+//! refit path persists only full fits and never warm-loads.
 
+use cpistack::counters::{LiveSource, ReplaySource};
 use cpistack::model::FitOptions;
-use cpistack::service::{CpiService, ModelKey, ServiceConfig};
+use cpistack::service::{CpiClient, CpiService, ModelKey, RefitMode, ServiceConfig};
 use cpistack::sim::machine::MachineConfig;
 use cpistack::workbench::MachineSpec;
 use cpistack::SimSource;
 use pmu::{MachineId, RunRecord, Suite};
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn records(seed: u64) -> Vec<RunRecord> {
     SimSource::new()
@@ -146,5 +149,80 @@ fn corrupt_snapshots_fall_through_to_a_fresh_fit() {
     assert_eq!(stats.fits, 1);
     assert_eq!(stats.cache.warm_loads, 0);
     assert_eq!(refit_stacks, cold_stacks);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file in the state dir, by path, with its bytes.
+fn dir_contents(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("state dir exists")
+        .map(|entry| {
+            let path = entry.expect("entry").path();
+            let bytes = std::fs::read(&path).expect("read state file");
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// A fresh service on `dir` with core2 registered and `batch` ingested.
+fn started(dir: &Path, batch: &[RunRecord]) -> (CpiService, CpiClient) {
+    let service = CpiService::start(ServiceConfig::new().with_workers(2).with_state_dir(dir));
+    let client = service.client();
+    client
+        .register(MachineSpec::from(MachineConfig::core2()))
+        .expect("register");
+    client.ingest(batch.to_vec()).expect("ingest");
+    (service, client)
+}
+
+#[test]
+fn refits_persist_only_full_fits_and_never_warm_load() {
+    let dir = std::env::temp_dir().join(format!("cpistack_warm_refit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let batch = records(7);
+
+    // Lifetime 1: the stream's anchor is a full fit, persisted like any
+    // fit. A stationary batch (same workloads, jittered counters) is then
+    // polished incrementally — and the polished model stays off disk.
+    let (service, client) = started(&dir, &batch);
+    let (_, mode) = client.refit(key(), false).expect("anchor");
+    assert_eq!(mode, RefitMode::Full);
+    let anchored = dir_contents(&dir);
+    assert_eq!(anchored.len(), 1, "the full refit persisted one snapshot");
+    let mut jitter = ReplaySource::new(batch.clone())
+        .batch_size(batch.len())
+        .rounds(2)
+        .jitter(5);
+    jitter.next_batch(); // round 0 replays the records verbatim
+    let jittered = jitter.next_batch().expect("round 1");
+    client
+        .stream_batch(MachineId::Core2, jittered)
+        .expect("stream batch");
+    let (_, mode) = client.refit(key(), false).expect("polish");
+    assert_eq!(mode, RefitMode::Incremental);
+    service.shutdown();
+    assert_eq!(
+        dir_contents(&dir),
+        anchored,
+        "an incremental refit writes nothing"
+    );
+
+    // Lifetime 2: the plain fitting path serves the anchor from disk.
+    let (service, client) = started(&dir, &batch);
+    let report = client.fit(key()).expect("fit");
+    assert!(report.cached, "the persisted anchor serves as a hit");
+    let stats = service.shutdown();
+    assert_eq!(stats.cache.warm_loads, 1);
+    assert_eq!(stats.fits, 0);
+
+    // Lifetime 3: a stream re-anchors from a full fit even though the
+    // same snapshot sits on disk — the refit path never consults it.
+    let (service, client) = started(&dir, &batch);
+    let (report, mode) = client.refit(key(), false).expect("re-anchor");
+    assert_eq!(mode, RefitMode::Full);
+    assert!(!report.cached);
+    let stats = service.shutdown();
+    assert_eq!(stats.cache.warm_loads, 0);
+    assert_eq!(stats.fits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
